@@ -5,7 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -157,11 +160,14 @@ struct TaskReport {
   float progress = 0;
   // Hadoop ships the full named counter set on every report — the reason
   // statusUpdate serializations walk the 32-byte DataOutputBuffer through
-  // ~5 adjustments in Table I.
-  std::vector<std::pair<std::string, std::int64_t>> counters = default_counters();
+  // ~5 adjustments in Table I. Names are views into static storage (the
+  // default table or the intern set), so copying a report copies one
+  // vector and no strings.
+  using Counters = std::vector<std::pair<std::string_view, std::int64_t>>;
+  Counters counters = default_counters();
 
-  static std::vector<std::pair<std::string, std::int64_t>> default_counters() {
-    return {
+  static const Counters& default_counters() {
+    static const Counters table = {
         {"org.apache.hadoop.mapred.Task$Counter.MAP_INPUT_RECORDS", 0},
         {"org.apache.hadoop.mapred.Task$Counter.MAP_OUTPUT_RECORDS", 0},
         {"org.apache.hadoop.mapred.Task$Counter.MAP_INPUT_BYTES", 0},
@@ -178,6 +184,21 @@ struct TaskReport {
         {"FileSystemCounters.HDFS_BYTES_READ", 0},
         {"FileSystemCounters.HDFS_BYTES_WRITTEN", 0},
     };
+    return table;
+  }
+
+  /// A view of `name` with static lifetime: the default table's entry
+  /// (tried at position `hint` first) or a process-wide interned copy.
+  static std::string_view intern_counter_name(std::string_view name, std::size_t hint) {
+    const Counters& table = default_counters();
+    if (hint < table.size() && table[hint].first == name) return table[hint].first;
+    for (const auto& entry : table) {
+      if (entry.first == name) return entry.first;
+    }
+    static std::set<std::string, std::less<>> interned;  // nodes never move
+    auto it = interned.find(name);
+    if (it == interned.end()) it = interned.emplace(name).first;
+    return *it;
   }
 
   void write(rpc::DataOutput& out) const {
@@ -197,9 +218,11 @@ struct TaskReport {
     type = static_cast<TaskType>(in.read_u8());
     progress = static_cast<float>(in.read_f64());
     counters.resize(static_cast<std::size_t>(in.read_vi32()));
-    for (auto& [name, c] : counters) {
-      name = in.read_text();
-      c = in.read_vi64();
+    thread_local std::string name;  // scratch; every name is interned below
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      in.read_text(name);
+      counters[i].first = intern_counter_name(name, i);
+      counters[i].second = in.read_vi64();
     }
   }
 };

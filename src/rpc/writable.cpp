@@ -82,7 +82,7 @@ void DataOutput::write_vi64(std::int64_t i) {
   write_raw(net::ByteSpan(buf, static_cast<std::size_t>(n) + 1));
 }
 
-void DataOutput::write_text(const std::string& s) {
+void DataOutput::write_text(std::string_view s) {
   write_vi64(static_cast<std::int64_t>(s.size()));
   accrue(cost_model().field_op());
   write_raw(net::ByteSpan(reinterpret_cast<const net::Byte*>(s.data()), s.size()));
@@ -141,16 +141,21 @@ std::int32_t DataInput::read_vi32() {
 }
 
 std::string DataInput::read_text() {
+  std::string s;
+  read_text(s);
+  return s;
+}
+
+void DataInput::read_text(std::string& out) {
   const std::int64_t len = read_vi64();
   if (len < 0 || static_cast<std::size_t>(len) > remaining()) {
     throw SerializationError("bad text length");
   }
-  std::string s(static_cast<std::size_t>(len), '\0');
+  out.resize(static_cast<std::size_t>(len));
   // new String(bytes): a heap allocation plus the copy out of the stream.
-  accrue_alloc(cost_model().heap_alloc(s.size()));
-  accrue(cost_model().field_op() + cost_model().heap_copy(s.size()));
-  read_raw(net::MutByteSpan(reinterpret_cast<net::Byte*>(s.data()), s.size()));
-  return s;
+  accrue_alloc(cost_model().heap_alloc(out.size()));
+  accrue(cost_model().field_op() + cost_model().heap_copy(out.size()));
+  read_raw(net::MutByteSpan(reinterpret_cast<net::Byte*>(out.data()), out.size()));
 }
 
 net::Bytes DataInput::read_bytes() {

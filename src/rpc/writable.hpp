@@ -17,6 +17,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "cluster/cost_model.hpp"
 #include "net/bytes.hpp"
@@ -59,7 +60,7 @@ class DataOutput {
   void write_vi32(std::int32_t v) { write_vi64(v); }
 
   /// org.apache.hadoop.io.Text: vint byte length + UTF-8 bytes.
-  void write_text(const std::string& s);
+  void write_text(std::string_view s);
 
   /// BytesWritable: 4-byte length + payload.
   void write_bytes(net::ByteSpan data);
@@ -112,6 +113,9 @@ class DataInput {
   std::int32_t read_vi32();
 
   std::string read_text();
+  /// read_text() into `out`, reusing its capacity. Accrues the same
+  /// modelled cost (Java's readString always allocates a new String).
+  void read_text(std::string& out);
   net::Bytes read_bytes();
 
   void accrue(sim::Dur d) { accrued_ += d; }

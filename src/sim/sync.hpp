@@ -101,7 +101,13 @@ class SimEvent {
   struct WaitAwaiter {
     SimEvent& ev;
     bool await_ready() const noexcept { return ev.set_; }
-    void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (!ev.first_waiter_) {
+        ev.first_waiter_ = h;
+      } else {
+        ev.waiters_.push_back(h);
+      }
+    }
     void await_resume() const noexcept {}
   };
 
@@ -133,6 +139,7 @@ class SimEvent {
   void set() {
     if (set_) return;
     set_ = true;
+    if (first_waiter_) sched_.post(std::exchange(first_waiter_, nullptr));
     for (std::coroutine_handle<> w : waiters_) sched_.post(w);
     waiters_.clear();
     for (auto& [w, flag] : timed_waiters_) {
@@ -148,6 +155,8 @@ class SimEvent {
  private:
   Scheduler& sched_;
   bool set_ = false;
+  // The common single waiter (an RPC caller on its reply) needs no vector.
+  std::coroutine_handle<> first_waiter_;
   std::vector<std::coroutine_handle<>> waiters_;
   std::vector<std::pair<std::coroutine_handle<>, std::shared_ptr<bool>>> timed_waiters_;
 };

@@ -10,6 +10,8 @@
 //    that may block in virtual time). Lazily started when awaited, resumes
 //    its awaiter by symmetric transfer, RAII-owned by the awaiting frame.
 //
+// Both promise types allocate their frames from sim/frame_pool.hpp.
+//
 // CODEBASE RULE (GCC 12 workaround): never pass a temporary with a
 // non-trivial destructor as an argument inside a statement containing
 // co_await — GCC 12.2 double-destroys such temporaries when the awaited
@@ -36,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/frame_pool.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rpcoib::sim {
@@ -86,8 +89,10 @@ class JoinHandle {
 /// Scheduler on spawn.
 class Task {
  public:
-  struct promise_type {
-    std::shared_ptr<detail::TaskState> st = std::make_shared<detail::TaskState>();
+  struct promise_type : detail::PooledFrame {
+    std::shared_ptr<detail::TaskState> st =
+        std::allocate_shared<detail::TaskState>(frame_pool::Allocator<detail::TaskState>{});
+    Scheduler::TaskLink link;
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -99,7 +104,7 @@ class Task {
       void await_suspend(std::coroutine_handle<promise_type> h) const noexcept {
         // Grab the shared state before the frame dies.
         std::shared_ptr<detail::TaskState> st = h.promise().st;
-        st->sched->unregister_task(h.address());
+        st->sched->unregister_task(h.promise().link);
         h.destroy();
         st->done = true;
         for (std::coroutine_handle<> w : st->waiters) st->sched->post(w);
@@ -137,7 +142,7 @@ class Task {
 
   std::coroutine_handle<promise_type> release(Scheduler& sched) {
     h_.promise().st->sched = &sched;
-    sched.register_task(h_.address());
+    sched.register_task(h_.promise().link, h_.address());
     return std::exchange(h_, nullptr);
   }
 
@@ -161,7 +166,7 @@ inline JoinHandle Scheduler::spawn_after(Dur d, Task task) {
 namespace detail {
 
 template <typename T>
-struct CoPromiseBase {
+struct CoPromiseBase : PooledFrame {
   std::coroutine_handle<> cont;
   std::exception_ptr ex;
   std::optional<T> value;
@@ -178,7 +183,7 @@ struct CoPromiseBase {
 };
 
 template <>
-struct CoPromiseBase<void> {
+struct CoPromiseBase<void> : PooledFrame {
   std::coroutine_handle<> cont;
   std::exception_ptr ex;
 

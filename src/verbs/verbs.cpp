@@ -1,6 +1,8 @@
 #include "verbs/verbs.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 namespace rpcoib::verbs {
@@ -226,9 +228,13 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
   CompletionQueue* scq = &send_cq_;
   // Size read before the move: argument evaluation order is unspecified.
   const std::size_t wire_bytes = payload.size();
-  const sim::Time arrival = fab.deliver_flow(
-      host_.id(), peer->host_.id(), net::Transport::kIBVerbs, wire_bytes, send_clock_,
-      [peer, payload = std::move(payload)]() mutable { peer->on_send_arrival(std::move(payload)); });
+  auto on_arrival = [peer, payload = std::move(payload)]() mutable {
+    peer->on_send_arrival(std::move(payload));
+  };
+  static_assert(sim::Callback::stores_inline<decltype(on_arrival)>);
+  const sim::Time arrival = fab.deliver_flow(host_.id(), peer->host_.id(),
+                                             net::Transport::kIBVerbs, wire_bytes, send_clock_,
+                                             std::move(on_arrival));
   // RC send completion after the ACK returns.
   fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = buf.size()] {
     scq->push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
@@ -246,22 +252,26 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::ByteSpan loca
 
   co_await host_.compute(p.per_msg_send_cpu);
 
-  net::Bytes payload(local.begin(), local.end());
-  VerbsStack* stack = &stack_;
+  // The payload snapshot and the remote address travel in the arrival
+  // callback, packed to fit sim::Callback's inline storage. The rkey
+  // resolves in the peer's stack: connected QPs share one VerbsStack.
+  const auto n = static_cast<std::uint32_t>(local.size());  // <= dst.length
+  auto payload = std::make_unique_for_overwrite<net::Byte[]>(n);
+  std::copy(local.begin(), local.end(), payload.get());
+  auto on_arrival = [peer, payload = std::move(payload), n, rkey = dst.rkey,
+                     offset = dst.offset, imm] {
+    net::MutByteSpan target = peer->stack_.resolve(rkey, offset, n);
+    std::copy_n(payload.get(), n, target.begin());
+    if (imm) {
+      // WRITE_WITH_IMM surfaces at the peer as a receive-type completion.
+      peer->recv_cq_.push(WorkCompletion{0, Opcode::kRecvRdmaWithImm, n, *imm});
+    }
+  };
+  static_assert(sim::Callback::stores_inline<decltype(on_arrival)>);
   CompletionQueue* scq = &send_cq_;
-  // Size read before the move: argument evaluation order is unspecified.
-  const std::size_t wire_bytes = payload.size();
-  const sim::Time arrival = fab.deliver_flow(
-      host_.id(), peer->host_.id(), net::Transport::kIBVerbs, wire_bytes, send_clock_,
-      [stack, peer, dst, imm, payload = std::move(payload)]() mutable {
-        net::MutByteSpan target = stack->resolve(dst.rkey, dst.offset, payload.size());
-        std::memcpy(target.data(), payload.data(), payload.size());
-        if (imm) {
-          // WRITE_WITH_IMM surfaces at the peer as a receive-type completion.
-          peer->recv_cq_.push(WorkCompletion{0, Opcode::kRecvRdmaWithImm,
-                                             static_cast<std::uint32_t>(payload.size()), *imm});
-        }
-      });
+  const sim::Time arrival = fab.deliver_flow(host_.id(), peer->host_.id(),
+                                             net::Transport::kIBVerbs, n, send_clock_,
+                                             std::move(on_arrival));
   fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = local.size()] {
     scq->push(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
   });
@@ -287,7 +297,7 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
   cluster::HostId responder = peer->host_.id();
   cluster::HostId requester = host_.id();
   fab.sched().call_at(req_arrival, [&fab, stack, scq, wr_id, local, src, responder,
-                                    requester, p] {
+                                    requester] {
     // The rkey resolves when the request *arrives* at the responder. A
     // region deregistered while the request was in flight is a remote
     // access error: the requester gets a failed completion (status != 0)
@@ -307,7 +317,6 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
                   scq->push(WorkCompletion{wr_id, Opcode::kRdmaRead,
                                            static_cast<std::uint32_t>(local.size()), 0});
                 });
-    (void)p;
   });
   co_return;
 }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/channel.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/sync.hpp"
@@ -300,6 +303,276 @@ TEST(Determinism, IdenticalSeedsIdenticalTraces) {
   };
   EXPECT_EQ(run_once(99), run_once(99));
   EXPECT_NE(run_once(99), run_once(100));
+}
+
+// ---- Event-queue order against a reference model --------------------------
+
+/// Mirrors every scheduling call into a reference queue ordered by
+/// (at, seq), the scheduler's documented order, and checks at every event
+/// that the scheduler runs exactly the reference's next event.
+class OrderModel {
+ public:
+  explicit OrderModel(Scheduler& s) : s_(s) {}
+
+  /// Call right before scheduling one event for `t`; returns its id.
+  int expect(Time t) {
+    const int id = next_id_++;
+    ref_.insert({std::max(t, s_.now()), seq_++, id});
+    return id;
+  }
+
+  /// Call from event `id` when it runs.
+  void ran(int id) {
+    ASSERT_FALSE(ref_.empty()) << "event " << id << " ran but none was expected";
+    const auto [at, seq, want] = *ref_.begin();
+    ref_.erase(ref_.begin());
+    EXPECT_EQ(id, want) << "at t=" << s_.now();
+    EXPECT_EQ(s_.now(), at) << "event " << id;
+    order_.push_back(id);
+  }
+
+  bool drained() const { return ref_.empty(); }
+  int scheduled() const { return next_id_; }
+  const std::vector<int>& order() const { return order_; }
+
+ private:
+  Scheduler& s_;
+  std::set<std::tuple<Time, std::uint64_t, int>> ref_;
+  std::uint64_t seq_ = 0;
+  int next_id_ = 0;
+  std::vector<int> order_;
+};
+
+/// Seeded random workload: every event schedules up to three more, mixing
+/// call_at in the past / now / future with coroutine resume_at, post and
+/// spawn_after. Future times come from a coarse grid, so heap events due
+/// at the current time are routinely pending while same-time work is
+/// added behind them.
+class OrderFuzz {
+ public:
+  OrderFuzz(Scheduler& s, std::uint64_t seed, int budget)
+      : s_(s), rng_(seed), model_(s), budget_(budget) {}
+
+  void start() {
+    for (int i = 0; i < 4; ++i) schedule_one();
+  }
+
+  /// Body shared by every event: schedule 0-3 follow-ups.
+  void act() {
+    const std::uint64_t n = rng_.next_below(4);
+    for (std::uint64_t i = 0; i < n; ++i) schedule_one();
+  }
+
+  Time pick_time() {
+    const Time now = s_.now();
+    switch (rng_.next_below(5)) {
+      case 0: return now > 3 ? now - 3 : 0;  // past: clamps to now
+      case 1: return now;
+      default: return now + 1 + rng_.next_below(3);
+    }
+  }
+
+  /// Suspends its coroutine at `t` (resume_at) or now (post), recording
+  /// the wake in the model first.
+  struct Wake {
+    OrderFuzz& f;
+    bool use_post;
+    Time t;
+    int id = -1;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (use_post) {
+        id = f.model_.expect(f.s_.now());
+        f.s_.post(h);
+      } else {
+        id = f.model_.expect(t);
+        f.s_.resume_at(t, h);
+      }
+    }
+    int await_resume() const noexcept { return id; }
+  };
+
+  static Task proc(OrderFuzz& f, int first_id, int wakes) {
+    f.model_.ran(first_id);
+    f.act();
+    for (int i = 0; i < wakes && f.budget_ > 0; ++i) {
+      --f.budget_;
+      const bool use_post = f.rng_.next_below(2) == 0;
+      const Time t = f.pick_time();
+      const int id = co_await Wake{f, use_post, t};
+      f.model_.ran(id);
+      f.act();
+    }
+  }
+
+  void schedule_one() {
+    if (budget_ <= 0) return;
+    --budget_;
+    if (rng_.next_below(3) != 0) {
+      const Time t = pick_time();
+      const int id = model_.expect(t);
+      s_.call_at(t, [this, id] {
+        model_.ran(id);
+        act();
+      });
+    } else {
+      const Dur d = rng_.next_below(3);
+      const int id = model_.expect(s_.now() + d);
+      s_.spawn_after(d, proc(*this, id, static_cast<int>(rng_.next_below(4))));
+    }
+  }
+
+  const OrderModel& model() const { return model_; }
+
+ private:
+  Scheduler& s_;
+  Rng rng_;
+  OrderModel model_;
+  int budget_;
+};
+
+TEST(SchedulerOrder, RandomMixMatchesReferenceModel) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 42u}) {
+    Scheduler s;
+    OrderFuzz fuzz(s, seed, 4000);
+    fuzz.start();
+    s.run();
+    EXPECT_TRUE(fuzz.model().drained()) << "seed " << seed;
+    EXPECT_EQ(static_cast<int>(fuzz.model().order().size()), fuzz.model().scheduled());
+    EXPECT_EQ(s.events_processed(), fuzz.model().order().size()) << "seed " << seed;
+    EXPECT_EQ(s.live_task_count(), 0u);
+  }
+}
+
+TEST(SchedulerOrder, SameSeedSameOrder) {
+  auto order = [](std::uint64_t seed) {
+    Scheduler s;
+    OrderFuzz fuzz(s, seed, 2000);
+    fuzz.start();
+    s.run();
+    return fuzz.model().order();
+  };
+  EXPECT_EQ(order(7), order(7));
+}
+
+TEST(SchedulerOrder, HeapEventsDueNowRunBeforeSameTimeWork) {
+  Scheduler s;
+  std::vector<std::string> log;
+  s.call_at(10, [&] {
+    log.push_back("a");
+    // Scheduled at t=10 while b and c (also due at 10) are still queued:
+    // it must run after them.
+    s.call_at(s.now(), [&] { log.push_back("a-now"); });
+    s.call_at(0, [&] { log.push_back("a-past"); });
+  });
+  s.call_at(10, [&] { log.push_back("b"); });
+  s.call_at(10, [&] {
+    log.push_back("c");
+    s.call_at(s.now(), [&] { log.push_back("c-now"); });
+  });
+  s.call_at(11, [&] { log.push_back("d"); });
+  s.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "b", "c", "a-now", "a-past", "c-now", "d"}));
+  EXPECT_EQ(s.events_processed(), 7u);
+}
+
+TEST(SchedulerOrder, RunUntilIsExclusiveAcrossReadyRingAndHeap) {
+  Scheduler s;
+  std::vector<std::string> log;
+  s.call_at(5, [&] {
+    log.push_back("a");
+    s.call_at(s.now(), [&] { log.push_back("ring"); });
+    s.call_at(6, [&] { log.push_back("heap"); });
+  });
+  ASSERT_TRUE(s.step());  // runs a at t=5; "ring" is now due at t=5
+  EXPECT_TRUE(s.run_until(5));  // the ready ring is due at 5, not before
+  EXPECT_EQ(log, (std::vector<std::string>{"a"}));
+  EXPECT_TRUE(s.run_until(6));  // ring runs; the heap event at 6 does not
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "ring"}));
+  EXPECT_EQ(s.now(), 5u);
+  EXPECT_FALSE(s.run_until(7));
+  EXPECT_EQ(log, (std::vector<std::string>{"a", "ring", "heap"}));
+  EXPECT_EQ(s.events_processed(), 3u);
+}
+
+Task parked(Scheduler& s) { co_await delay(s, micros(1)); }
+
+TEST(SchedulerOrder, TerminatedSchedulerIgnoresReadyRingAndHeap) {
+  Scheduler s;
+  int ran = 0;
+  s.call_at(0, [&] { ++ran; });
+  s.call_at(10, [&] { ++ran; });
+  s.drain_tasks();
+  EXPECT_TRUE(s.idle());
+  s.call_at(s.now(), [&] { ++ran; });      // ready-ring path
+  s.call_after(micros(5), [&] { ++ran; });  // heap path
+  s.spawn(parked(s));                       // post
+  s.spawn_after(micros(2), parked(s));      // resume_at
+  EXPECT_TRUE(s.idle());
+  EXPECT_FALSE(s.step());
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(s.events_processed(), 0u);
+  s.drain_tasks();  // frees the two never-started frames
+  EXPECT_EQ(s.live_task_count(), 0u);
+}
+
+// ---- Coroutine frame pool --------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsanBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAsanBuild = true;
+#else
+constexpr bool kAsanBuild = false;
+#endif
+#else
+constexpr bool kAsanBuild = false;
+#endif
+
+/// Yields the address of the awaiting coroutine's frame without suspending.
+struct FrameAddress {
+  void* addr = nullptr;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) noexcept {
+    addr = h.address();
+    return false;
+  }
+  void* await_resume() const noexcept { return addr; }
+};
+
+Co<void*> frame_of_call() { co_return co_await FrameAddress{}; }
+
+Task two_calls(void*& first, void*& second) {
+  first = co_await frame_of_call();
+  second = co_await frame_of_call();  // the first frame is freed by now
+}
+
+TEST(FramePool, FreedFrameIsReusedByNextFrameOfItsClass) {
+  EXPECT_EQ(frame_pool::kEnabled, !kAsanBuild);
+  Scheduler s;
+  void* first = nullptr;
+  void* second = nullptr;
+  s.spawn(two_calls(first, second));
+  s.run();
+  ASSERT_NE(first, nullptr);
+  if (frame_pool::kEnabled) {
+    EXPECT_EQ(first, second);
+    // Any size in the same 64-byte class takes the freed block; another
+    // class does not.
+    void* a = frame_pool::allocate(130);
+    frame_pool::deallocate(a, 130);
+    void* b = frame_pool::allocate(192);
+    EXPECT_EQ(a, b);
+    void* c = frame_pool::allocate(100);
+    EXPECT_NE(b, c);
+    frame_pool::deallocate(b, 192);
+    frame_pool::deallocate(c, 100);
+  } else {
+    // Under ASan frames come straight from the heap: a freed frame sits in
+    // quarantine, so a use after free would be reported.
+    EXPECT_NE(first, second);
+  }
 }
 
 }  // namespace

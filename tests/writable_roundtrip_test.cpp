@@ -3,6 +3,11 @@
 // via Algorithm-1 buffer, deserialize via RDMA stream and vice versa).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "hbase/hbase.hpp"
 #include "hdfs/types.hpp"
 #include "mapred/types.hpp"
@@ -165,6 +170,108 @@ TEST(MapredWritables, StatusUpdateIsAdjustmentHeavy) {
   mapred::StatusUpdateParam b;
   b.read_fields(in);
   EXPECT_EQ(b.state_string, p.state_string);
+}
+
+// The 15 Hadoop counter names a default TaskReport carries, spelled out as
+// the strings the wire format has always carried.
+const char* const kDefaultCounterNames[] = {
+    "org.apache.hadoop.mapred.Task$Counter.MAP_INPUT_RECORDS",
+    "org.apache.hadoop.mapred.Task$Counter.MAP_OUTPUT_RECORDS",
+    "org.apache.hadoop.mapred.Task$Counter.MAP_INPUT_BYTES",
+    "org.apache.hadoop.mapred.Task$Counter.MAP_OUTPUT_BYTES",
+    "org.apache.hadoop.mapred.Task$Counter.COMBINE_INPUT_RECORDS",
+    "org.apache.hadoop.mapred.Task$Counter.COMBINE_OUTPUT_RECORDS",
+    "org.apache.hadoop.mapred.Task$Counter.REDUCE_INPUT_GROUPS",
+    "org.apache.hadoop.mapred.Task$Counter.REDUCE_SHUFFLE_BYTES",
+    "org.apache.hadoop.mapred.Task$Counter.REDUCE_INPUT_RECORDS",
+    "org.apache.hadoop.mapred.Task$Counter.REDUCE_OUTPUT_RECORDS",
+    "org.apache.hadoop.mapred.Task$Counter.SPILLED_RECORDS",
+    "FileSystemCounters.FILE_BYTES_READ",
+    "FileSystemCounters.FILE_BYTES_WRITTEN",
+    "FileSystemCounters.HDFS_BYTES_READ",
+    "FileSystemCounters.HDFS_BYTES_WRITTEN",
+};
+
+TEST(MapredWritables, DefaultTaskReportWireMatchesStringCounterNames) {
+  mapred::TaskReport r;
+  r.job = 3;
+  r.task = 9;
+  r.type = mapred::TaskType::kReduce;
+  r.progress = 0.25f;
+  rpc::DataOutputBuffer got(kCm);
+  r.write(got);
+
+  rpc::DataOutputBuffer want(kCm);
+  want.write_vi32(3);
+  want.write_vi32(9);
+  want.write_u8(1);
+  want.write_f64(0.25f);
+  want.write_vi32(15);
+  for (const char* name : kDefaultCounterNames) {
+    want.write_text(std::string(name));
+    want.write_vi64(0);
+  }
+  const net::Bytes got_bytes(got.data().begin(), got.data().end());
+  const net::Bytes want_bytes(want.data().begin(), want.data().end());
+  EXPECT_EQ(got_bytes, want_bytes);
+  // Same modelled serialization cost and Algorithm-1 growth, too.
+  EXPECT_EQ(got.accrued(), want.accrued());
+  EXPECT_EQ(got.stats().mem_adjustments, want.stats().mem_adjustments);
+}
+
+void expect_custom_counters_round_trip(int n) {
+  std::vector<std::string> names;
+  for (int i = 0; i < n; ++i) {
+    names.push_back("org.example.Custom$Counter.STAGE_" + std::to_string(i) + "_OF_" +
+                    std::to_string(n));
+  }
+  const std::vector<std::string> expected = names;  // outlives everything below
+  mapred::TaskReport r;
+  r.counters.clear();
+  for (int i = 0; i < n; ++i) r.counters.emplace_back(names[i], 1000 + i);
+
+  mapred::TaskReport back;
+  {
+    rpc::DataOutputBuffer out(kCm);
+    r.write(out);
+    names.clear();  // the writer's strings go away before anything is read
+    auto wire = std::make_unique<net::Bytes>(out.data().begin(), out.data().end());
+    rpc::DataInputBuffer in(kCm, *wire);
+    back.read_fields(in);
+    EXPECT_EQ(in.remaining(), 0u);
+    std::fill(wire->begin(), wire->end(), net::Byte{0xEE});
+  }  // the input buffer is destroyed: no name may point into it
+
+  ASSERT_EQ(back.counters.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(back.counters[i].first, expected[i]);
+    EXPECT_EQ(back.counters[i].second, 1000 + i);
+  }
+}
+
+TEST(MapredWritables, NonDefaultCounterNamesRoundTrip) {
+  expect_custom_counters_round_trip(3);
+  expect_custom_counters_round_trip(20);
+}
+
+TEST(Writables, TextReadIntoReusedStringAccruesModelledCost) {
+  const std::string text = "org.apache.hadoop.mapred.Task$Counter.SPILLED_RECORDS";
+  rpc::DataOutputBuffer out(kCm);
+  out.write_text(text);
+  rpc::DataInputBuffer length_only(kCm, out.data());
+  (void)length_only.read_vi64();
+  const sim::Dur vint_cost = length_only.take_accrued();
+
+  // new String(bytes) each time, even when the target string has room.
+  std::string scratch(200, 'x');
+  for (int i = 0; i < 2; ++i) {
+    rpc::DataInputBuffer in(kCm, out.data());
+    in.read_text(scratch);
+    EXPECT_EQ(scratch, text);
+    EXPECT_EQ(in.take_alloc_accrued(), kCm.heap_alloc(text.size()));
+    EXPECT_EQ(in.take_accrued(), vint_cost + kCm.heap_alloc(text.size()) + kCm.field_op() +
+                                     kCm.heap_copy(text.size()));
+  }
 }
 
 TEST(HBaseWritables, PutGetRoundTrip) {
