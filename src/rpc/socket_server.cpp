@@ -24,25 +24,23 @@ class ReaderSlotGuard {
 
 SocketRpcServer::SocketRpcServer(cluster::Host& host, net::SocketTable& sockets,
                                  net::Address addr, int num_handlers, int num_readers,
-                                 int num_shards, bool steal)
+                                 int num_shards)
     : host_(host),
       sockets_(sockets),
       addr_(addr),
       num_handlers_(num_handlers),
       num_readers_(num_readers),
-      num_shards_(num_shards < 1 ? 1 : num_shards),
-      steal_(steal) {}
+      num_shards_(num_shards < 1 ? 1 : num_shards) {}
 
 SocketRpcServer::~SocketRpcServer() { stop(); }
 
 void SocketRpcServer::start() {
   if (running_) return;
   running_ = true;
-  shards_.clear();
+  retire_shards(shards_, retired_shards_);
   for (int i = 0; i < num_shards_; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        host_.sched(), static_cast<std::uint32_t>(i), overload_, num_readers_,
-        shard_seed(host_.id(), static_cast<std::uint32_t>(i)), session_));
+    shards_.push_back(std::make_unique<Shard>(host_, static_cast<std::uint32_t>(i), overload_,
+                                              num_readers_, session_));
   }
   listener_ = &sockets_.listen(addr_);
   host_.sched().spawn(listener_loop());
@@ -93,48 +91,12 @@ void SocketRpcServer::stop() {
 }
 
 RpcStats& SocketRpcServer::stats() {
-  sync_stats();
+  fold_shard_stats(shards_, stats_);
   return stats_;
 }
 
 const RpcStats& SocketRpcServer::stats() const {
-  const_cast<SocketRpcServer*>(this)->sync_stats();
-  return stats_;
-}
-
-void SocketRpcServer::sync_stats() {
-  if (shards_.empty()) return;
-  RpcStats agg;
-  for (const auto& sh : shards_) {
-    agg.merge_resilience(sh->pipeline.stats());
-    agg.calls_handled += sh->pipeline.stats().calls_handled;
-    agg.recv_alloc_us.merge(sh->pipeline.stats().recv_alloc_us);
-    agg.recv_total_us.merge(sh->pipeline.stats().recv_total_us);
-    agg.shards.push_back(sh->pipeline.counters());
-  }
-  // Only overwrite the shard-sourced fields; anything written directly to
-  // stats_ by non-shard code stays untouched.
-  stats_.calls_handled = agg.calls_handled;
-  stats_.calls_shed = agg.calls_shed;
-  stats_.calls_expired = agg.calls_expired;
-  stats_.responses_expired = agg.responses_expired;
-  stats_.dedup_hits = agg.dedup_hits;
-  stats_.dedup_in_flight = agg.dedup_in_flight;
-  stats_.dropped_on_stop = agg.dropped_on_stop;
-  stats_.responses_dropped_on_stop = agg.responses_dropped_on_stop;
-  stats_.queue_depth_peak = agg.queue_depth_peak;
-  stats_.sessions_opened = agg.sessions_opened;
-  stats_.sessions_expired = agg.sessions_expired;
-  stats_.sessions_evicted = agg.sessions_evicted;
-  stats_.sessions_rejected = agg.sessions_rejected;
-  stats_.session_table_peak = agg.session_table_peak;
-  stats_.batches_received = agg.batches_received;
-  stats_.batched_calls_received = agg.batched_calls_received;
-  stats_.response_batches = agg.response_batches;
-  stats_.batched_responses = agg.batched_responses;
-  stats_.recv_alloc_us = agg.recv_alloc_us;
-  stats_.recv_total_us = agg.recv_total_us;
-  stats_.shards = std::move(agg.shards);
+  return const_cast<SocketRpcServer*>(this)->stats();
 }
 
 sim::Task SocketRpcServer::listener_loop() {
@@ -183,18 +145,19 @@ net::Bytes SocketRpcServer::status_frame(std::uint64_t id, RpcStatus status,
   return frame.take_pending();
 }
 
-void SocketRpcServer::shed(Shard& shard, const ServerCall& call) {
+sim::Co<void> SocketRpcServer::shed(Shard& shard, ServerCall call) {
   shard.pipeline.note_shed();
-  if (call.ctx.valid()) {
+  if (call.head.ctx.valid()) {
     if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("overload.shed:" + call.key.method, trace::Kind::kServer,
-                       trace::Category::kOverload, call.ctx, host_.id(),
+      tr->add_complete("overload.shed:" + call.head.key.method, trace::Kind::kServer,
+                       trace::Category::kOverload, call.head.ctx, host_.id(),
                        call.enqueued != 0 ? call.enqueued : call.recv_start,
                        host_.sched().now());
     }
   }
   shard.response_queue.push(Response{
-      call.conn, status_frame(call.id, RpcStatus::kBusy, "server busy: call queue full")});
+      call.conn, status_frame(call.head.id, RpcStatus::kBusy, "server busy: call queue full")});
+  co_return;
 }
 
 void SocketRpcServer::unpend(const net::SocketPtr& conn) {
@@ -203,26 +166,6 @@ void SocketRpcServer::unpend(const net::SocketPtr& conn) {
       pending_conns_.erase(it);
       return;
     }
-  }
-}
-
-void SocketRpcServer::touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                                    std::uint64_t call_id) {
-  if (!session_.enabled || session_id == 0) return;
-  const SessionTable::TouchResult r = shard.sessions.touch(
-      session_id, host_.sched().now(), /*open_if_missing=*/!retried, call_id);
-  RpcStats& st = shard.pipeline.stats();
-  if (r.opened) ++st.sessions_opened;
-  st.sessions_expired += r.expired.size();
-  st.sessions_evicted += r.evicted.size();
-  if (shard.sessions.peak() > st.session_table_peak) {
-    st.session_table_peak = shard.sessions.peak();
-  }
-  // A dead session's retry-cache entries go with it — the dedup promise
-  // is scoped to the lease, and the space bound depends on the purge.
-  if (RetryCache* cache = shard.pipeline.retry_cache()) {
-    for (const std::uint64_t sid : r.expired) cache->forget_owner(sid);
-    for (const std::uint64_t sid : r.evicted) cache->forget_owner(sid);
   }
 }
 
@@ -343,173 +286,50 @@ sim::Co<trace::TraceContext> SocketRpcServer::process_frame(
   ServerCall call;
   call.recv_start = t_recv_start;
   call.recv_alloc = alloc_cost;
-  call.id = in.read_u64();
-  if ((call.id & trace::kWireTraceFlag) != 0) {
-    call.ctx.trace_id = in.read_u64();
-    call.ctx.span_id = in.read_u64();
-  }
-  if ((call.id & trace::kWireDeadlineFlag) != 0) call.deadline = in.read_u64();
-  call.retried = (call.id & trace::kWireRetryFlag) != 0;
-  call.id &= trace::kWireIdMask;
-  call.key.protocol = in.read_text();
-  call.key.method = in.read_text();
+  call.head = read_call_head(in);
   call.param_off = in.position();
   co_await host_.compute(in.take_accrued());
-  if (call.ctx.valid()) {
+  const trace::TraceContext ctx = call.head.ctx;
+  if (ctx.valid()) {
     if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
-      tr->add_complete("recv:" + call.key.method, trace::Kind::kServer,
-                       trace::Category::kRecv, call.ctx, host_.id(), t_recv_start,
+      tr->add_complete("recv:" + call.head.key.method, trace::Kind::kServer,
+                       trace::Category::kRecv, ctx, host_.id(), t_recv_start,
                        host_.sched().now());
     }
   }
-  const trace::TraceContext ctx = call.ctx;
   call.conn = std::move(conn);
-  call.conn_id = conn_id;
-  call.session_id = session_id;
-  call.owner = session_id != 0 ? session_id : conn_id;
-  call.shard = shard.index;
+  call.head.session_id = session_id;
+  call.head.owner = session_id != 0 ? session_id : conn_id;
   call.frame = std::move(frame);
-  touch_session(shard, session_id, call.retried, call.id);
-
-  // Admission control: shed beyond the configured bound while the
-  // call is still cheap — before it costs a handler.
-  switch (shard.pipeline.gate(call)) {
-    case CallPipeline<ServerCall>::Gate::kShedArrival:
-      shed(shard, call);
-      co_return ctx;
-    case CallPipeline<ServerCall>::Gate::kEvictOldest: {
-      // Evict before enqueueing so the bound holds at every instant.
-      // evict_oldest can only miss when every queued call is already
-      // claimed by a waking handler; then the arrival is shed instead.
-      ServerCall victim;
-      if (shard.pipeline.evict_oldest(victim)) {
-        shed(shard, victim);
-      } else {
-        shed(shard, call);
-        co_return ctx;
-      }
-      break;
-    }
-    case CallPipeline<ServerCall>::Gate::kAdmit:
-      break;
-  }
-  shard.pipeline.push(std::move(call), host_.sched().now());
+  shard.touch_session(session_id, call.head.retried, call.head.id, host_.sched().now());
+  sim::Co<void> admitted = shard.pipeline.admit(
+      std::move(call),
+      [this, &shard](ServerCall busy) { return shed(shard, std::move(busy)); });
+  co_await admitted;
   co_return ctx;
 }
 
-sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
+sim::Task SocketRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
-      ServerCall call;
-      bool have = false;
-      // Stealing handlers poll rather than park on their own queue: a
-      // blocked recv() would never see a sibling's backlog build up.
-      while (steal_ && shards_.size() > 1 && !have && !home.pipeline.queue().closed()) {
-        have = home.pipeline.try_take(call);
-        if (!have) {
-          // Per-shard seeded scan start spreads thieves over victims.
-          const std::size_t start = static_cast<std::size_t>(
-              home.pipeline.rng().next_below(shards_.size()));
-          for (std::size_t k = 0; k < shards_.size() && !have; ++k) {
-            const std::size_t v = (start + k) % shards_.size();
-            if (v == home.index) continue;
-            if (shards_[v]->pipeline.try_take(call)) {
-              have = true;
-              ++home.pipeline.counters().steals;
-              ++shards_[v]->pipeline.counters().stolen;
-            }
-          }
-        }
-        if (!have) co_await sim::delay(host_.sched(), kStealPollInterval);
-      }
-      if (!have) {
-        call = co_await home.pipeline.queue().recv();
-        home.pipeline.note_dequeued(call);
-      }
-      // All per-call bookkeeping (stats, retry cache, responder) stays on
-      // the call's home shard even when a sibling handler stole it.
-      Shard& shard = *shards_[call.shard];
+      ServerCall call = co_await shard.pipeline.queue().recv();
+      shard.pipeline.note_dequeued(call);
+      const CallHead& head = call.head;
       const sim::Time t_dequeue = host_.sched().now();
-      trace::TraceCollector* tr =
-          call.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-
-      // Deadline check at dequeue: the caller already gave up, so don't
-      // burn a handler on it (and nobody is waiting for a response).
-      if (shard.pipeline.expired_at_dequeue(call.deadline, t_dequeue)) {
-        if (tr != nullptr) {
-          tr->add_complete("deadline.expired:" + call.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, call.ctx, host_.id(),
-                           call.enqueued, t_dequeue);
-        }
-        continue;
+      trace::TraceCollector* tr = head.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
+      const Screen screen = shard.screen(head, call.enqueued, t_dequeue, t_dequeue, tr);
+      if (screen.verdict == Verdict::kSessionRejected) {
+        shard.response_queue.push(
+            Response{call.conn, status_frame(head.id, RpcStatus::kSessionExpired,
+                                             "session expired: retry cannot be deduplicated")});
+      } else if (screen.verdict == Verdict::kReplay) {
+        shard.response_queue.push(Response{call.conn, *screen.replay});
       }
-      if (tr != nullptr) {
-        tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue,
-                         call.ctx, host_.id(), call.enqueued, t_dequeue);
-      }
+      if (screen.verdict != Verdict::kExecute) continue;
 
-      // Session checks for retried attempts. The server cannot prove the
-      // first attempt never executed when (a) the session that would hold
-      // the dedup state is gone (expired or evicted), or (b) the session
-      // was re-opened by a later fresh call (the fence) and this retried
-      // id misses the cache — its state, if any, died with the previous
-      // incarnation. Either way the retry is refused with a *terminal*
-      // session-expired status — retrying again could duplicate a
-      // completed call, and a retryable bounce would merely defer that
-      // outcome until a fresh call revives the session. A fresh call
-      // simply re-opened the session at arrival.
-      if (call.retried && call.session_id != 0) {
-        bool undedupable = !shard.sessions.alive(call.session_id, t_dequeue);
-        if (!undedupable) {
-          RetryCache* rc = shard.pipeline.retry_cache();
-          undedupable = rc != nullptr &&
-                        rc->peek(call.owner, call.id) == RetryCache::State::kFresh &&
-                        call.id < shard.sessions.fence(call.session_id);
-        }
-        if (undedupable) {
-          ++shard.pipeline.stats().sessions_rejected;
-          if (tr != nullptr) {
-            tr->add_complete("session.rejected:" + call.key.method, trace::Kind::kServer,
-                             trace::Category::kSession, call.ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          shard.response_queue.push(Response{
-              call.conn,
-              status_frame(call.id, RpcStatus::kSessionExpired,
-                           "session expired: retry cannot be deduplicated")});
-          continue;
-        }
-      }
-
-      // Retry cache: a repeated <owner, call id> is a client retry (the
-      // owner is the durable session id when one was advertised, the dense
-      // connection id otherwise). Re-send the stored response rather than
-      // re-executing the handler (the non-idempotent-safety contract of
-      // RpcRetryPolicy).
-      if (RetryCache* retry_cache = shard.pipeline.retry_cache()) {
-        const RetryCache::State st = retry_cache->begin(call.owner, call.id);
-        if (st == RetryCache::State::kCompleted) {
-          ++shard.pipeline.stats().dedup_hits;
-          if (tr != nullptr) {
-            tr->add_complete("overload.dedup:" + call.key.method, trace::Kind::kServer,
-                             trace::Category::kOverload, call.ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          shard.response_queue.push(
-              Response{call.conn, *retry_cache->completed_frame(call.owner, call.id)});
-          continue;
-        }
-        if (st == RetryCache::State::kInProgress) {
-          // First attempt still executing; it (or the cache on the next
-          // retry) will answer. Running twice is the one forbidden outcome.
-          ++shard.pipeline.stats().dedup_in_flight;
-          continue;
-        }
-      }
-
-      trace::SpanScope handle(tr, "handle:" + call.key.method, trace::Kind::kServer,
-                              trace::Category::kHandler, call.ctx, host_.id());
+      trace::SpanScope handle(tr, "handle:" + head.key.method, trace::Kind::kServer,
+                              trace::Category::kHandler, head.ctx, host_.id());
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());
 
       // Deserialize the param and invoke the method; the server-side
@@ -519,10 +339,10 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       DataOutputBuffer out(cm, kServerInitialBuffer);
       bool error = false;
       std::string error_msg;
-      const MethodHandler* handler = dispatcher_.find(call.key);
+      const MethodHandler* handler = dispatcher_.find(head.key);
       if (handler == nullptr) {
         error = true;
-        error_msg = "unknown method " + call.key.to_string();
+        error_msg = "unknown method " + head.key.to_string();
       } else {
         try {
           co_await (*handler)(in, out);
@@ -543,7 +363,7 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       // Frame the response: [len][id][status][value|error text].
       BufferedOutputStream frame(cm);
       DataOutputBuffer hdr(cm, kClientInitialBuffer);
-      hdr.write_u64(call.id);
+      hdr.write_u64(head.id);
       hdr.write_u8(error ? 1 : 0);
       if (error) hdr.write_text(error_msg);
       const std::uint32_t total =
@@ -556,20 +376,9 @@ sim::Task SocketRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
 
       handle.end();
       net::Bytes wire = frame.take_pending();
-      // The executed outcome must survive even when the response is
-      // dropped below: the caller's retry is answered from the cache.
-      if (RetryCache* retry_cache = shard.pipeline.retry_cache()) {
-        retry_cache->complete(call.owner, call.id, wire);
-      }
-      if (shard.pipeline.expired_before_response(call.deadline, host_.sched().now())) {
-        // Executed past the caller's deadline: the response would be
-        // ignored, so don't spend the Responder + wire on it.
-        if (tr != nullptr) {
-          tr->add_complete("deadline.response:" + call.key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, call.ctx, host_.id(),
-                           host_.sched().now(), host_.sched().now());
-        }
-      } else {
+      // Executed past the caller's deadline: the response would be ignored,
+      // so don't spend the Responder + wire on it.
+      if (shard.record(head, Outcome::kAnswered, wire, host_.sched().now(), tr)) {
         shard.response_queue.push(Response{call.conn, std::move(wire)});
       }
       ++shard.pipeline.stats().calls_handled;

@@ -42,12 +42,9 @@ class SocketRpcServer final : public RpcServer {
   /// Hadoop 1.0.3): all of a shard's connections serialize their receive
   /// processing through this many threads, which is what caps socket-RPC
   /// throughput. `num_shards` replicates the whole Reader/queue/Handler/
-  /// Responder chain; `steal` lets an idle shard's handlers take queued
-  /// calls from siblings (off by default — stealing trades the strict
-  /// per-shard ordering for utilization).
+  /// Responder chain.
   SocketRpcServer(cluster::Host& host, net::SocketTable& sockets, net::Address addr,
-                  int num_handlers, int num_readers = 1, int num_shards = 1,
-                  bool steal = false);
+                  int num_handlers, int num_readers = 1, int num_shards = 1);
   ~SocketRpcServer() override;
 
   void start() override;
@@ -63,20 +60,14 @@ class SocketRpcServer final : public RpcServer {
  private:
   struct ServerCall {
     net::SocketPtr conn;
-    std::uint64_t conn_id = 0;  // dense per-server connection sequence number
-    std::uint64_t session_id = 0;  // durable session id (0 = sessionless)
-    std::uint64_t owner = 0;       // retry-cache key: session_id, else conn_id
-    bool retried = false;          // kWireRetryFlag: a client retry attempt
-    std::uint32_t shard = 0;    // home shard (== conn_id's shard)
-    std::uint64_t id = 0;
-    MethodKey key;
+    CallHead head;           // parsed header + session/owner identity
     net::Bytes frame;        // full received frame
     std::size_t param_off = 0;  // offset of the param bytes within frame
     sim::Time recv_start = 0;   // when the frame began arriving (Fig. 1)
     sim::Dur recv_alloc = 0;    // buffer-allocation share of the receive path
-    trace::TraceContext ctx;    // caller's trace context (from the wire)
-    sim::Time deadline = 0;     // caller's absolute deadline (0 = none)
     sim::Time enqueued = 0;     // when the call entered the call queue
+
+    const std::string& admission_protocol() const { return head.key.protocol; }
   };
   struct Response {
     net::SocketPtr conn;
@@ -84,25 +75,18 @@ class SocketRpcServer final : public RpcServer {
   };
 
   /// One reader shard: a disjoint set of connections with its own Reader
-  /// slots, pipeline (queue/admission/cache/stats), and Responder.
-  struct Shard {
-    Shard(sim::Scheduler& sched, std::uint32_t index, const OverloadConfig& cfg,
-          int readers, std::uint64_t seed, const SessionConfig& session)
-        : index(index),
-          pipeline(sched, index, cfg,
-                   [](const ServerCall& c) -> const std::string& { return c.key.protocol; },
-                   seed),
-          response_queue(sched),
-          reader_slots(sched, readers),
-          sessions(session) {}
+  /// slots, pipeline (queue/admission/cache/stats), sessions and Responder.
+  struct Shard : ServerShard<ServerCall> {
+    Shard(cluster::Host& host, std::uint32_t index, const OverloadConfig& cfg, int readers,
+          const SessionConfig& session)
+        : ServerShard(host.sched(), index, host.id(), cfg, session, SessionTouch::kAtArrival),
+          response_queue(host.sched()),
+          reader_slots(host.sched(), readers) {}
 
-    std::uint32_t index;
-    CallPipeline<ServerCall> pipeline;
     sim::Channel<Response> response_queue;
     sim::Semaphore reader_slots;
     std::vector<net::SocketPtr> conns;
     LingerEstimator resp_gaps;  // responder-side adaptive-linger estimator
-    SessionTable sessions;      // durable-session leases (home shard only)
   };
 
   sim::Task listener_loop();
@@ -111,7 +95,7 @@ class SocketRpcServer final : public RpcServer {
   /// the preamble, so a reconnect lands on the shard holding its dedup
   /// state.
   sim::Task reader_loop(net::SocketPtr conn, std::uint64_t conn_id, Shard* home);
-  sim::Task handler_loop(Shard& home, int handler_id);
+  sim::Task handler_loop(Shard& shard, int handler_id);
   sim::Task responder_loop(Shard& shard);
 
   /// One call's receive-side processing (header parse, admission,
@@ -122,12 +106,6 @@ class SocketRpcServer final : public RpcServer {
                                              std::uint64_t session_id, Shard& shard,
                                              net::Bytes frame, sim::Time t_recv_start,
                                              sim::Dur alloc_cost);
-  /// Lease bookkeeping for one arriving call: renew (or open, unless the
-  /// call is a retry) its session and drop retry-cache state for every
-  /// session the sweep expired or evicted. `call_id` fences the session's
-  /// incarnation when the call opens it.
-  void touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                     std::uint64_t call_id);
   /// Remove `conn` from the accepted-but-unhomed list (no-op when absent).
   void unpend(const net::SocketPtr& conn);
   /// Coalesce group[begin..end) (small responses for one connection) into
@@ -138,10 +116,8 @@ class SocketRpcServer final : public RpcServer {
                                      std::size_t begin, std::size_t end);
 
   net::Bytes status_frame(std::uint64_t id, RpcStatus status, const std::string& msg);
-  void shed(Shard& shard, const ServerCall& call);
-  /// Fold the per-shard stat blocks into stats_ (idempotent; the scalar
-  /// aggregates are rebuilt from scratch on every call).
-  void sync_stats();
+  /// Answer one call busy (the admission gate's shed callback).
+  sim::Co<void> shed(Shard& shard, ServerCall call);
 
   cluster::Host& host_;
   net::SocketTable& sockets_;
@@ -149,9 +125,9 @@ class SocketRpcServer final : public RpcServer {
   int num_handlers_;
   int num_readers_;
   int num_shards_;
-  bool steal_;
   net::Listener* listener_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> retired_shards_;  // see retire_shards()
   /// Sessions only: sockets accepted but still parked on the preamble /
   /// session-id read, so homed in no shard's conns list yet. The reader
   /// moves a conn out once it picks the session-affine shard; stop()

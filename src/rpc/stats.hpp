@@ -36,8 +36,6 @@ struct ShardCounters {
   std::uint64_t dispatched = 0;      // calls admitted into the shard queue
   std::uint64_t queued_peak = 0;     // shard call-queue high-water mark
   std::uint64_t dropped = 0;         // shed + expired + dropped at stop()
-  std::uint64_t steals = 0;          // calls this shard's handlers took from siblings
-  std::uint64_t stolen = 0;          // calls sibling handlers took from this shard
 };
 
 struct RpcStats {
@@ -248,8 +246,6 @@ struct RpcStats {
         shards[i].queued_peak = o.shards[i].queued_peak;
       }
       shards[i].dropped += o.shards[i].dropped;
-      shards[i].steals += o.shards[i].steals;
-      shards[i].stolen += o.shards[i].stolen;
     }
   }
 };

@@ -91,13 +91,12 @@ std::unique_ptr<rpc::RpcServer> RpcEngine::make_server(cluster::Host& host,
     case RpcMode::kSocketIPoIB:
       server = std::make_unique<rpc::SocketRpcServer>(host, tb_.sockets(), addr,
                                                       cfg_.server_handlers, 1,
-                                                      cfg_.server_shards, cfg_.shard_steal);
+                                                      cfg_.server_shards);
       break;
     case RpcMode::kRpcoIB: {
       RdmaServerConfig sc;
       sc.num_handlers = cfg_.server_handlers;
       sc.shards = cfg_.server_shards;
-      sc.steal = cfg_.shard_steal;
       sc.eager_threshold = cfg_.eager_threshold;
       sc.pool = cfg_.pool;
       sc.socket_fallback = cfg_.socket_fallback;

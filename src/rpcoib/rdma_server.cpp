@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "trace/trace.hpp"
@@ -49,41 +50,32 @@ ControlFrame make_nack(std::uint32_t rkey) {
   return f;
 }
 
-/// Header fields of a kCall frame, pre-parsed at admission time so the
-/// gate can shed with a well-formed busy response before a handler ever
-/// sees the call. Bookkeeping only — no cost is charged for this pass.
-struct CallHeader {
-  bool ok = false;
-  std::uint64_t id = 0;
-  bool retried = false;  // kWireRetryFlag: a client retry attempt
-  sim::Time deadline = 0;
-  trace::TraceContext ctx;
-  rpc::MethodKey key;
-};
-
 /// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
 inline constexpr std::size_t kUdHeaderBytes = 9;
 
-CallHeader parse_call_header(const cluster::CostModel& cm, net::ByteSpan frame) {
-  CallHeader h;
+/// Header of a kCall frame read on the side — at admission (so the gate
+/// can shed with a well-formed busy response before a handler sees the
+/// call) and for the batch.parse span. Bookkeeping only: no cost is
+/// charged for this pass. Empty for a garbage header (a client reused a
+/// rendezvous source after timing out).
+std::optional<rpc::CallHead> peek_call_head(const cluster::CostModel& cm,
+                                            net::ByteSpan frame) {
   RDMAInputStream in(cm, frame);
   try {
     (void)in.read_u8();  // frame type
-    h.id = in.read_u64();
-    if ((h.id & trace::kWireTraceFlag) != 0) {
-      h.ctx.trace_id = in.read_u64();
-      h.ctx.span_id = in.read_u64();
-    }
-    if ((h.id & trace::kWireDeadlineFlag) != 0) h.deadline = in.read_u64();
-    h.retried = (h.id & trace::kWireRetryFlag) != 0;
-    h.id &= trace::kWireIdMask;
-    h.key.protocol = in.read_text();
-    h.key.method = in.read_text();
-    h.ok = true;
+    return rpc::read_call_head(in);
   } catch (const std::exception&) {
-    // Garbage header (client reused a rendezvous source after timing out).
+    return std::nullopt;
   }
-  return h;
+}
+
+/// The one builder of status responses: [u8 kResp][u64 id][u8 status][text].
+void write_status(RDMAOutputStream& out, std::uint64_t id, rpc::RpcStatus status,
+                  const std::string& msg) {
+  out.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
+  out.write_u64(id);
+  out.write_u8(static_cast<std::uint8_t>(status));
+  out.write_text(msg);
 }
 
 }  // namespace
@@ -110,16 +102,11 @@ void RdmaRpcServer::start() {
   if (running_) return;
   running_ = true;
   alive_ = std::make_shared<bool>(true);
-  // Retire (never destroy) the previous run's shards: their reader and
-  // handler loops are still suspended on the closed channels and exit only
-  // when the scheduler runs the wakes stop() posted.
-  for (auto& shard : shards_) retired_shards_.push_back(std::move(shard));
-  shards_.clear();
+  rpc::retire_shards(shards_, retired_shards_);
   const int n = cfg_.shards;
   for (int i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>(
-        host_.sched(), static_cast<std::uint32_t>(i), overload_,
-        rpc::shard_seed(host_.id(), static_cast<std::uint32_t>(i)), session_);
+    auto shard =
+        std::make_unique<Shard>(host_, static_cast<std::uint32_t>(i), overload_, session_);
     if (cfg_.pool.srq_depth > 0) {
       // Stripe the shared ring: each shard owns srq_depth / n slots (the
       // remainder spread over the low shards, never below one) and refills
@@ -208,13 +195,18 @@ void RdmaRpcServer::start() {
     }
   }
   if (cfg_.socket_fallback) {
-    fallback_ = std::make_unique<rpc::SocketRpcServer>(
-        host_, sockets_,
-        net::Address{addr_.host,
-                     static_cast<std::uint16_t>(addr_.port + kSocketFallbackPortOffset)},
-        cfg_.num_handlers, 1, cfg_.shards, cfg_.steal);
+    if (!fallback_) {
+      fallback_ = std::make_unique<rpc::SocketRpcServer>(
+          host_, sockets_,
+          net::Address{addr_.host,
+                       static_cast<std::uint16_t>(addr_.port + kSocketFallbackPortOffset)},
+          cfg_.num_handlers, 1, cfg_.shards);
+    }
+    // Mirror the dispatcher, including methods registered since the last run.
     for (const auto& [key, handler] : dispatcher_.all()) {
-      fallback_->dispatcher().register_method(key.protocol, key.method, handler);
+      if (fallback_->dispatcher().find(key) == nullptr) {
+        fallback_->dispatcher().register_method(key.protocol, key.method, handler);
+      }
     }
     // The fallback path must shed under the same policy as the RDMA path,
     // or overload would simply migrate to the companion listener.
@@ -284,63 +276,11 @@ void RdmaRpcServer::stop() {
     if (shard->cq) shard->cq->close();
   }
   for (auto& shard : shards_) shard->pipeline.close();
-  // Stop but do not destroy the fallback listener: closing its queues only
-  // *schedules* the suspended handler loops, which still read the queues
-  // when they resume. The object lives until this server is destroyed.
   if (fallback_) fallback_->stop();
 }
 
 rpc::RpcStats& RdmaRpcServer::stats() {
-  sync_stats();
-  return stats_;
-}
-
-const rpc::RpcStats& RdmaRpcServer::stats() const {
-  const_cast<RdmaRpcServer*>(this)->sync_stats();
-  return stats_;
-}
-
-void RdmaRpcServer::sync_stats() {
-  if (shards_.empty()) return;
-  rpc::RpcStats agg;
-  std::uint64_t ring_peak_sum = 0;
-  for (const auto& shard : shards_) {
-    agg.merge_resilience(shard->pipeline.stats());
-    agg.calls_handled += shard->pipeline.stats().calls_handled;
-    agg.recv_alloc_us.merge(shard->pipeline.stats().recv_alloc_us);
-    agg.recv_total_us.merge(shard->pipeline.stats().recv_total_us);
-    ring_peak_sum += shard->pipeline.stats().recv_ring_bytes_peak;
-    agg.shards.push_back(shard->pipeline.counters());
-  }
-  // Only the shard-sourced fields are overwritten; anything written
-  // directly to stats_ by non-shard code (threshold_mismatches from the
-  // Listener's handshake) stays untouched.
-  stats_.calls_handled = agg.calls_handled;
-  stats_.calls_shed = agg.calls_shed;
-  stats_.calls_expired = agg.calls_expired;
-  stats_.responses_expired = agg.responses_expired;
-  stats_.dedup_hits = agg.dedup_hits;
-  stats_.dedup_in_flight = agg.dedup_in_flight;
-  stats_.dropped_on_stop = agg.dropped_on_stop;
-  stats_.responses_dropped_on_stop = agg.responses_dropped_on_stop;
-  stats_.pool_nacks = agg.pool_nacks;
-  stats_.queue_depth_peak = agg.queue_depth_peak;
-  stats_.sessions_opened = agg.sessions_opened;
-  stats_.sessions_expired = agg.sessions_expired;
-  stats_.sessions_evicted = agg.sessions_evicted;
-  stats_.sessions_rejected = agg.sessions_rejected;
-  stats_.session_table_peak = agg.session_table_peak;
-  stats_.batches_received = agg.batches_received;
-  stats_.batched_calls_received = agg.batched_calls_received;
-  stats_.response_batches = agg.response_batches;
-  stats_.batched_responses = agg.batched_responses;
-  stats_.srq_posted = agg.srq_posted;
-  stats_.srq_refills = agg.srq_refills;
-  stats_.srq_rnr_stalls = agg.srq_rnr_stalls;
-  stats_.srq_evictions = agg.srq_evictions;
-  stats_.ud_calls_received = agg.ud_calls_received;
-  stats_.ud_responses_sent = agg.ud_responses_sent;
-  stats_.ud_resp_oversize = agg.ud_resp_oversize;
+  rpc::fold_shard_stats(shards_, stats_);
   std::uint64_t ud_rx = ud_rx_dropped_base_;
   for (const auto& ep : ud_eps_) {
     if (ep) ud_rx += ep->rx_dropped();
@@ -353,30 +293,14 @@ void RdmaRpcServer::sync_stats() {
   // The stripes post independently, so the server-wide registered-memory
   // footprint is the sum of the per-stripe peaks (exact at one shard).
   // The UD rings are one more fixed stripe on top.
+  std::uint64_t ring_peak_sum = 0;
+  for (const auto& shard : shards_) ring_peak_sum += shard->pipeline.stats().recv_ring_bytes_peak;
   stats_.recv_ring_bytes_peak = ring_peak_sum + ud_ring_bytes_peak_;
-  stats_.recv_alloc_us = agg.recv_alloc_us;
-  stats_.recv_total_us = agg.recv_total_us;
-  stats_.shards = std::move(agg.shards);
+  return stats_;
 }
 
-void RdmaRpcServer::touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                                  std::uint64_t call_id) {
-  if (!session_.enabled || session_id == 0) return;
-  const rpc::SessionTable::TouchResult r = shard.sessions.touch(
-      session_id, host_.sched().now(), /*open_if_missing=*/!retried, call_id);
-  rpc::RpcStats& st = shard.pipeline.stats();
-  if (r.opened) ++st.sessions_opened;
-  st.sessions_expired += r.expired.size();
-  st.sessions_evicted += r.evicted.size();
-  if (shard.sessions.peak() > st.session_table_peak) {
-    st.session_table_peak = shard.sessions.peak();
-  }
-  // A dead session's retry-cache entries go with it — the dedup promise
-  // is scoped to the lease, and the space bound depends on the purge.
-  if (rpc::RetryCache* cache = shard.pipeline.retry_cache()) {
-    for (const std::uint64_t sid : r.expired) cache->forget_owner(sid);
-    for (const std::uint64_t sid : r.evicted) cache->forget_owner(sid);
-  }
+const rpc::RpcStats& RdmaRpcServer::stats() const {
+  return const_cast<RdmaRpcServer*>(this)->stats();
 }
 
 void RdmaRpcServer::note_ring_bytes(Shard& shard, std::size_t n) {
@@ -471,6 +395,7 @@ sim::Task RdmaRpcServer::idle_evict_loop() {
 
 sim::Task RdmaRpcServer::listener_loop() {
   net::Listener* l = listener_;
+  const std::shared_ptr<bool> alive = alive_;
   try {
     // Library-load-time pool registration (amortized across all calls). In
     // SRQ mode every stripe's buffers are provisioned here too, so the
@@ -478,6 +403,9 @@ sim::Task RdmaRpcServer::listener_loop() {
     std::size_t total_srq = 0;
     for (const auto& shard : shards_) total_srq += shard->srq_depth;
     co_await native_.initialize(total_srq > 0 ? cfg_.recv_buf_size : 0, total_srq);
+    // Stopped while registering: the listener was freed with no acceptor
+    // parked on it, and shards_ may already belong to the next run.
+    if (!*alive) co_return;
     for (auto& shard : shards_) {
       if (!shard->srq) continue;
       // One pre-registered receive stripe per shard, filled once: from
@@ -643,45 +571,9 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
               post_recv_buffer(shard, conn.get(), native_.acquire(conn->recv_buf_size));
             }
           } else if (type == FrameType::kBatch) {
-            // Client-coalesced eager calls: split into pooled copies (each
-            // sub-call owns its buffer like a fetched call) so admission,
-            // deadlines and tracing all stay per call. One copy charge
-            // covers the whole frame; the slot recycles after the split
-            // (its contents are stable until reposted).
-            ++shard.pipeline.stats().batches_received;
-            std::uint32_t count = 0;
-            std::memcpy(&count, frame.data() + 1, 4);
-            co_await host_.compute(cm.direct_copy(wc.byte_len));
-            const sim::Time recv_start = host_.sched().now();
-            trace::TraceContext bctx;
-            std::size_t off = 5 + 4 * static_cast<std::size_t>(count);
-            for (std::uint32_t i = 0; i < count; ++i) {
-              std::uint32_t sub_len = 0;
-              std::memcpy(&sub_len, frame.data() + 5 + 4 * static_cast<std::size_t>(i), 4);
-              NativeBuffer* sub = shadow_.acquire_sized(sub_len);
-              std::memcpy(sub->span.data(), frame.data() + off, sub_len);
-              off += sub_len;
-              ++shard.pipeline.stats().batched_calls_received;
-              if (!bctx.valid()) {
-                const CallHeader h =
-                    parse_call_header(cm, net::ByteSpan(sub->span.data(), sub_len));
-                if (h.ok) bctx = h.ctx;
-              }
-              ServerCall call;
-              call.conn = conn;
-              call.buf = sub;
-              call.frame_len = sub_len;
-              call.recv_start = recv_start;
-              co_await enqueue_call(std::move(call));
-            }
-            if (bctx.valid()) {
-              trace::TraceCollector* tr = trace::active(host_.tracer());
-              if (tr != nullptr) {
-                tr->add_complete("batch.parse", trace::Kind::kServer,
-                                 trace::Category::kRecv, bctx, host_.id(), recv_start,
-                                 host_.sched().now());
-              }
-            }
+            ServerCall proto;
+            proto.conn = conn;
+            co_await split_batch(proto, frame);
             recycle_recv_buffer(shard, conn.get(), rb);  // frame fully copied out
           } else if (type == FrameType::kCtrlCall) {
             std::uint32_t rkey = 0, len = 0;
@@ -758,19 +650,20 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
         const net::ByteSpan inner(frame.data() + kUdHeaderBytes,
                                   frame.size() - kUdHeaderBytes);
         const auto itype = static_cast<FrameType>(inner[0]);
+        ServerCall proto;
+        proto.conn = conn;
+        proto.via_ud = true;
+        proto.ud_peer = peer;
+        proto.ud_ep = ep_index;
         if (itype == FrameType::kCall) {
           co_await host_.compute(cm.direct_copy(inner.size()));
           NativeBuffer* sub = shadow_.acquire_sized(inner.size());
           std::memcpy(sub->span.data(), inner.data(), inner.size());
           ++shard.pipeline.stats().ud_calls_received;
-          ServerCall call;
-          call.conn = conn;
+          ServerCall call = proto;
           call.buf = sub;
           call.frame_len = static_cast<std::uint32_t>(inner.size());
           call.recv_start = host_.sched().now();
-          call.via_ud = true;
-          call.ud_peer = peer;
-          call.ud_ep = ep_index;
           co_await enqueue_call(std::move(call));
         } else if (itype == FrameType::kBatch) {
           // Split per sub-call BEFORE any session logic: each sub-call of
@@ -778,44 +671,7 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
           // id, so a mid-flight session expiry bounces the affected
           // sub-calls individually (kSessionExpired) instead of failing
           // the frame as one retryable unit.
-          ++shard.pipeline.stats().batches_received;
-          std::uint32_t count = 0;
-          std::memcpy(&count, inner.data() + 1, 4);
-          co_await host_.compute(cm.direct_copy(inner.size()));
-          const sim::Time recv_start = host_.sched().now();
-          trace::TraceContext bctx;
-          std::size_t off = 5 + 4 * static_cast<std::size_t>(count);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            std::uint32_t sub_len = 0;
-            std::memcpy(&sub_len, inner.data() + 5 + 4 * static_cast<std::size_t>(i), 4);
-            NativeBuffer* sub = shadow_.acquire_sized(sub_len);
-            std::memcpy(sub->span.data(), inner.data() + off, sub_len);
-            off += sub_len;
-            ++shard.pipeline.stats().batched_calls_received;
-            ++shard.pipeline.stats().ud_calls_received;
-            if (!bctx.valid()) {
-              const CallHeader h =
-                  parse_call_header(cm, net::ByteSpan(sub->span.data(), sub_len));
-              if (h.ok) bctx = h.ctx;
-            }
-            ServerCall call;
-            call.conn = conn;
-            call.buf = sub;
-            call.frame_len = sub_len;
-            call.recv_start = recv_start;
-            call.via_ud = true;
-            call.ud_peer = peer;
-            call.ud_ep = ep_index;
-            co_await enqueue_call(std::move(call));
-          }
-          if (bctx.valid()) {
-            trace::TraceCollector* tr = trace::active(host_.tracer());
-            if (tr != nullptr) {
-              tr->add_complete("batch.parse", trace::Kind::kServer,
-                               trace::Category::kRecv, bctx, host_.id(), recv_start,
-                               host_.sched().now());
-            }
-          }
+          co_await split_batch(proto, inner);
         }
       }
       // The ring slot is fully copied out (or the datagram was garbage):
@@ -853,10 +709,7 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     }
     native_.release(buf);
     RDMAOutputStream err(host_.cost(), shadow_, rpc::MethodKey{"__ud", "oversize"});
-    err.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-    err.write_u64(id);
-    err.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kError));
-    err.write_text("response exceeds the UD datagram MTU");
+    write_status(err, id, rpc::RpcStatus::kError, "response exceeds the UD datagram MTU");
     co_await host_.compute(err.take_accrued());
     msg = err.data();
     buf = err.take_buffer();
@@ -871,63 +724,82 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
   }
 }
 
+sim::Co<void> RdmaRpcServer::split_batch(const ServerCall& proto, net::ByteSpan frame) {
+  // [u8 kBatch][u32 count][u32 len_i x count][kCall sub-frames...]. Each
+  // sub-call owns a pooled copy like a fetched call, so admission,
+  // deadlines, sessions and tracing all stay per call. One copy charge
+  // covers the whole frame; the caller recycles the receive slot after the
+  // split (its contents are stable until reposted).
+  const cluster::CostModel& cm = host_.cost();
+  Shard& shard = shard_of(*proto.conn);
+  ++shard.pipeline.stats().batches_received;
+  std::uint32_t count = 0;
+  std::memcpy(&count, frame.data() + 1, 4);
+  co_await host_.compute(cm.direct_copy(frame.size()));
+  const sim::Time recv_start = host_.sched().now();
+  trace::TraceContext bctx;
+  std::size_t off = 5 + 4 * static_cast<std::size_t>(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t sub_len = 0;
+    std::memcpy(&sub_len, frame.data() + 5 + 4 * static_cast<std::size_t>(i), 4);
+    NativeBuffer* sub = shadow_.acquire_sized(sub_len);
+    std::memcpy(sub->span.data(), frame.data() + off, sub_len);
+    off += sub_len;
+    ++shard.pipeline.stats().batched_calls_received;
+    if (proto.via_ud) ++shard.pipeline.stats().ud_calls_received;
+    if (!bctx.valid()) {
+      const std::optional<rpc::CallHead> h =
+          peek_call_head(cm, net::ByteSpan(sub->span.data(), sub_len));
+      if (h) bctx = h->ctx;
+    }
+    ServerCall call = proto;
+    call.buf = sub;
+    call.frame_len = sub_len;
+    call.recv_start = recv_start;
+    co_await enqueue_call(std::move(call));
+  }
+  if (bctx.valid()) {
+    if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
+      tr->add_complete("batch.parse", trace::Kind::kServer, trace::Category::kRecv, bctx,
+                       host_.id(), recv_start, host_.sched().now());
+    }
+  }
+}
+
 sim::Co<void> RdmaRpcServer::enqueue_call(ServerCall call) {
   Shard& shard = shard_of(*call.conn);
   if (shard.pipeline.admission_enabled()) {
-    const CallHeader hdr = parse_call_header(
+    std::optional<rpc::CallHead> head = peek_call_head(
         host_.cost(), net::ByteSpan(call.buf->span.data(), call.frame_len));
-    if (!hdr.ok) {
+    if (!head) {
       // Garbage header: the client reused the source after timing out.
       native_.release(call.buf);
       co_return;
     }
-    call.admit_protocol = hdr.key.protocol;
-    switch (shard.pipeline.gate(call)) {
-      case rpc::CallPipeline<ServerCall>::Gate::kShedArrival: {
-        const sim::Time start = call.recv_start;
-        co_await shed_call(std::move(call), hdr.id, hdr.ctx, hdr.key.method, start);
-        co_return;
-      }
-      case rpc::CallPipeline<ServerCall>::Gate::kEvictOldest: {
-        ServerCall victim;
-        if (shard.pipeline.evict_oldest(victim)) {
-          const CallHeader vh = parse_call_header(
-              host_.cost(), net::ByteSpan(victim.buf->span.data(), victim.frame_len));
-          const sim::Time vstart =
-              victim.enqueued != 0 ? victim.enqueued : victim.recv_start;
-          co_await shed_call(std::move(victim), vh.id, vh.ctx, vh.key.method, vstart);
-        } else {
-          // Every queued call is already claimed by a waking handler; shed
-          // the arrival instead so the bound holds at every instant.
-          const sim::Time start = call.recv_start;
-          co_await shed_call(std::move(call), hdr.id, hdr.ctx, hdr.key.method, start);
-          co_return;
-        }
-        break;
-      }
-      case rpc::CallPipeline<ServerCall>::Gate::kAdmit:
-        break;
-    }
+    call.admit_protocol = std::move(head->key.protocol);
   }
-  shard.pipeline.push(std::move(call), host_.sched().now());
+  sim::Co<void> admitted = shard.pipeline.admit(
+      std::move(call), [this](ServerCall busy) { return shed_call(std::move(busy)); });
+  co_await admitted;
 }
 
-sim::Co<void> RdmaRpcServer::shed_call(ServerCall call, std::uint64_t id,
-                                       trace::TraceContext ctx, const std::string& method,
-                                       sim::Time start) {
+sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
+  // Only admitted or header-checked calls reach the gate, so the header
+  // parses.
+  const rpc::CallHead head =
+      *peek_call_head(host_.cost(), net::ByteSpan(call.buf->span.data(), call.frame_len));
   shard_of(*call.conn).pipeline.note_shed();
-  trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
-  if (tr != nullptr) {
-    tr->add_complete("overload.shed:" + method, trace::Kind::kServer,
-                     trace::Category::kOverload, ctx, host_.id(), start,
-                     host_.sched().now());
+  if (head.ctx.valid()) {
+    if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
+      tr->add_complete("overload.shed:" + head.key.method, trace::Kind::kServer,
+                       trace::Category::kOverload, head.ctx, host_.id(),
+                       call.enqueued != 0 ? call.enqueued : call.recv_start,
+                       host_.sched().now());
+    }
   }
   try {
     RDMAOutputStream busy(host_.cost(), shadow_, rpc::MethodKey{"__overload", "busy"});
-    busy.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-    busy.write_u64(id);
-    busy.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kBusy));
-    busy.write_text("server busy: call queue full");
+    write_status(busy, head.id, rpc::RpcStatus::kBusy, "server busy: call queue full");
     co_await respond(call, busy);
   } catch (const verbs::VerbsError&) {
     // Client already gone; nothing to tell it.
@@ -935,63 +807,22 @@ sim::Co<void> RdmaRpcServer::shed_call(ServerCall call, std::uint64_t id,
   native_.release(call.buf);
 }
 
-sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
+sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
   const cluster::CostModel& cm = host_.cost();
   try {
     for (;;) {
-      ServerCall call;
-      bool have = false;
-      // Stealing handlers poll rather than park on their own queue: a
-      // blocked recv() would never see a sibling's backlog build up.
-      while (cfg_.steal && shards_.size() > 1 && !have &&
-             !home.pipeline.queue().closed()) {
-        have = home.pipeline.try_take(call);
-        if (!have) {
-          // Per-shard seeded scan start spreads thieves over victims.
-          const std::size_t start = static_cast<std::size_t>(
-              home.pipeline.rng().next_below(shards_.size()));
-          for (std::size_t k = 0; k < shards_.size() && !have; ++k) {
-            const std::size_t v = (start + k) % shards_.size();
-            if (v == home.index) continue;
-            if (shards_[v]->pipeline.try_take(call)) {
-              have = true;
-              ++home.pipeline.counters().steals;
-              ++shards_[v]->pipeline.counters().stolen;
-            }
-          }
-        }
-        if (!have) co_await sim::delay(host_.sched(), rpc::kStealPollInterval);
-      }
-      if (!have) {
-        call = co_await home.pipeline.queue().recv();
-        home.pipeline.note_dequeued(call);
-      }
-      // All per-call bookkeeping (stats, retry cache, pending responses)
-      // stays on the call's home shard even when a sibling stole it.
-      Shard& shard = shard_of(*call.conn);
+      ServerCall call = co_await shard.pipeline.queue().recv();
+      shard.pipeline.note_dequeued(call);
       const sim::Time t_dequeue = host_.sched().now();
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());
 
       // Deserialize in place from the registered buffer: no per-call heap
       // buffer, no native->heap copy (Section III-B).
       RDMAInputStream in(cm, net::ByteSpan(call.buf->span.data(), call.frame_len));
-      std::uint64_t id = 0;
-      bool retried = false;
-      sim::Time deadline = 0;
-      trace::TraceContext ctx;
-      rpc::MethodKey key;
+      rpc::CallHead head;
       try {
         (void)in.read_u8();  // frame type
-        id = in.read_u64();
-        if ((id & trace::kWireTraceFlag) != 0) {
-          ctx.trace_id = in.read_u64();
-          ctx.span_id = in.read_u64();
-        }
-        if ((id & trace::kWireDeadlineFlag) != 0) deadline = in.read_u64();
-        retried = (id & trace::kWireRetryFlag) != 0;
-        id &= trace::kWireIdMask;
-        key.protocol = in.read_text();
-        key.method = in.read_text();
+        head = rpc::read_call_head(in);
       } catch (const std::exception&) {
         // Garbage header: a timed-out client may have released (and reused)
         // the rendezvous source before our RDMA-READ fetched it. Drop the
@@ -999,115 +830,53 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
         native_.release(call.buf);
         continue;
       }
-      trace::TraceCollector* tr = ctx.valid() ? trace::active(host_.tracer()) : nullptr;
+      head.session_id = call.conn->session_id;
+      head.owner = call.conn->owner;
+      trace::TraceCollector* tr = head.ctx.valid() ? trace::active(host_.tracer()) : nullptr;
       if (tr != nullptr) {
         // The id was only parsed here, so the receive interval is recorded
         // retroactively now that the context is known.
-        tr->add_complete("recv:" + key.method, trace::Kind::kServer,
-                         trace::Category::kRecv, ctx, host_.id(), call.recv_start,
+        tr->add_complete("recv:" + head.key.method, trace::Kind::kServer,
+                         trace::Category::kRecv, head.ctx, host_.id(), call.recv_start,
                          call.enqueued);
       }
-      // The caller's deadline already passed while this call sat in the
-      // queue: executing it would waste a handler on a response nobody
-      // will read (the client has timed out and may be retrying).
-      if (shard.pipeline.expired_at_dequeue(deadline, host_.sched().now())) {
-        if (tr != nullptr) {
-          tr->add_complete("deadline.expired:" + key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, ctx, host_.id(), call.enqueued,
-                           host_.sched().now());
+      const rpc::Screen screen =
+          shard.screen(head, call.enqueued, t_dequeue, host_.sched().now(), tr);
+      if (screen.verdict == rpc::Verdict::kSessionRejected) {
+        try {
+          RDMAOutputStream expired(cm, shadow_, rpc::MethodKey{"__session", "rejected"});
+          write_status(expired, head.id, rpc::RpcStatus::kSessionExpired,
+                       "session expired: retry cannot be deduplicated");
+          co_await respond(call, expired);
+        } catch (const verbs::VerbsError&) {
+          // Client already gone; nothing to tell it.
         }
+      } else if (screen.verdict == rpc::Verdict::kReplay) {
+        try {
+          co_await respond_frame(call, *screen.replay);
+        } catch (const verbs::VerbsError&) {
+        }
+      }
+      if (screen.verdict != rpc::Verdict::kExecute) {
         native_.release(call.buf);
         continue;
       }
-      if (tr != nullptr) {
-        tr->add_complete("queue", trace::Kind::kInternal, trace::Category::kQueue, ctx,
-                         host_.id(), call.enqueued, t_dequeue);
-      }
-      // Session lease bookkeeping, then the checks for retries: a retried
-      // attempt whose session is gone — or whose id predates the fence of
-      // a re-opened session while missing the cache — cannot be proved
-      // unexecuted, so it is refused with a *terminal* session-expired
-      // error instead of run a second time (a retryable bounce would only
-      // defer the duplicate until a fresh call revives the session). A
-      // fresh call just (re-)opened the session above.
-      touch_session(shard, call.conn->session_id, retried, id);
-      if (retried && call.conn->session_id != 0) {
-        bool undedupable = !shard.sessions.alive(call.conn->session_id, t_dequeue);
-        if (!undedupable) {
-          rpc::RetryCache* rc = shard.pipeline.retry_cache();
-          undedupable =
-              rc != nullptr &&
-              rc->peek(call.conn->owner, id) == rpc::RetryCache::State::kFresh &&
-              id < shard.sessions.fence(call.conn->session_id);
-        }
-        if (undedupable) {
-          ++shard.pipeline.stats().sessions_rejected;
-          if (tr != nullptr) {
-            tr->add_complete("session.rejected:" + key.method, trace::Kind::kServer,
-                             trace::Category::kSession, ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          try {
-            RDMAOutputStream expired(cm, shadow_, rpc::MethodKey{"__session", "rejected"});
-            expired.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-            expired.write_u64(id);
-            expired.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kSessionExpired));
-            expired.write_text("session expired: retry cannot be deduplicated");
-            co_await respond(call, expired);
-          } catch (const verbs::VerbsError&) {
-            // Client already gone; nothing to tell it.
-          }
-          native_.release(call.buf);
-          continue;
-        }
-      }
-
-      rpc::RetryCache* retry_cache = shard.pipeline.retry_cache();
-      if (retry_cache != nullptr) {
-        const rpc::RetryCache::State seen = retry_cache->begin(call.conn->owner, id);
-        if (seen == rpc::RetryCache::State::kCompleted) {
-          // A retry of a call that already executed: replay the recorded
-          // response instead of running the handler a second time.
-          ++shard.pipeline.stats().dedup_hits;
-          if (tr != nullptr) {
-            tr->add_complete("overload.dedup:" + key.method, trace::Kind::kServer,
-                             trace::Category::kOverload, ctx, host_.id(), t_dequeue,
-                             host_.sched().now());
-          }
-          const net::Bytes* cached = retry_cache->completed_frame(call.conn->owner, id);
-          if (cached != nullptr) {
-            try {
-              co_await respond_frame(call, net::ByteSpan(cached->data(), cached->size()));
-            } catch (const verbs::VerbsError&) {
-            }
-          }
-          native_.release(call.buf);
-          continue;
-        }
-        if (seen == rpc::RetryCache::State::kInProgress) {
-          // First attempt still running on another handler; that execution
-          // will answer (or the client's next retry hits kCompleted).
-          ++shard.pipeline.stats().dedup_in_flight;
-          native_.release(call.buf);
-          continue;
-        }
-      }
-      trace::SpanScope handle(tr, "handle:" + key.method, trace::Kind::kServer,
-                              trace::Category::kHandler, ctx, host_.id());
+      trace::SpanScope handle(tr, "handle:" + head.key.method, trace::Kind::kServer,
+                              trace::Category::kHandler, head.ctx, host_.id());
       in.trace_context = handle.context();
 
       bool error = false;
       bool pool_busy = false;
       std::string error_msg;
-      RDMAOutputStream out(cm, shadow_, key);
+      RDMAOutputStream out(cm, shadow_, head.key);
       out.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-      out.write_u64(id);
+      out.write_u64(head.id);
       out.write_u8(0);  // status placeholder; rewritten below on error
 
-      const rpc::MethodHandler* handler = dispatcher_.find(key);
+      const rpc::MethodHandler* handler = dispatcher_.find(head.key);
       if (handler == nullptr) {
         error = true;
-        error_msg = "unknown method " + key.to_string();
+        error_msg = "unknown method " + head.key.to_string();
       } else {
         try {
           co_await (*handler)(in, out);
@@ -1128,49 +897,24 @@ sim::Task RdmaRpcServer::handler_loop(Shard& home, int /*handler_id*/) {
       shard.pipeline.stats().recv_total_us.add(
           sim::to_us(host_.sched().now() - call.recv_start));
 
-      // The deadline may also pass *during* execution; then the response
-      // is dropped unsent — but still recorded in the retry cache, because
-      // the executed outcome must answer the retry already on its way.
-      const bool resp_expired =
-          shard.pipeline.expired_before_response(deadline, host_.sched().now());
-      if (resp_expired) {
-        if (tr != nullptr) {
-          tr->add_complete("deadline.response:" + key.method, trace::Kind::kServer,
-                           trace::Category::kOverload, ctx, host_.id(),
-                           host_.sched().now(), host_.sched().now());
-        }
-      }
+      // The deadline may also pass *during* execution; then record() says
+      // the response is not worth sending.
+      const sim::Time now = host_.sched().now();
       try {
         if (pool_busy) {
-          // Not recorded in the retry cache: the condition is transient
-          // and the client's retry must execute fresh once the pool drains.
-          if (retry_cache != nullptr) retry_cache->forget(call.conn->owner, id);
-          shard.pipeline.note_shed();
+          const bool send = shard.record(head, rpc::Outcome::kPoolBusy, {}, now, tr);
           RDMAOutputStream busy(cm, shadow_, rpc::MethodKey{"__overload", "busy"});
-          busy.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-          busy.write_u64(id);
-          busy.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kBusy));
-          busy.write_text("server busy: " + error_msg);
-          if (!resp_expired) co_await respond(call, busy);
+          write_status(busy, head.id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
+          if (send) co_await respond(call, busy);
         } else if (error) {
-          // Rebuild the frame with the error payload.
-          RDMAOutputStream err(cm, shadow_, key);
-          err.write_u8(static_cast<std::uint8_t>(FrameType::kResp));
-          err.write_u64(id);
-          err.write_u8(static_cast<std::uint8_t>(rpc::RpcStatus::kError));
-          err.write_text(error_msg);
-          if (retry_cache != nullptr) {
-            retry_cache->complete(call.conn->owner, id,
-                                  net::Bytes(err.data().begin(), err.data().end()));
-          }
-          if (!resp_expired) co_await respond(call, err);
-          // On expiry the stream destructor returns the pooled buffer.
+          RDMAOutputStream err(cm, shadow_, head.key);
+          write_status(err, head.id, rpc::RpcStatus::kError, error_msg);
+          const bool send = shard.record(head, rpc::Outcome::kAnswered, err.data(), now, tr);
+          // Unsent, the stream destructor returns the pooled buffer.
+          if (send) co_await respond(call, err);
         } else {
-          if (retry_cache != nullptr) {
-            retry_cache->complete(call.conn->owner, id,
-                                  net::Bytes(out.data().begin(), out.data().end()));
-          }
-          if (!resp_expired) co_await respond(call, out);
+          const bool send = shard.record(head, rpc::Outcome::kAnswered, out.data(), now, tr);
+          if (send) co_await respond(call, out);
         }
       } catch (const verbs::VerbsError&) {
         // Client disconnected between handling and responding; drop it.

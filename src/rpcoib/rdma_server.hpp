@@ -38,10 +38,6 @@ struct RdmaServerConfig {
   /// Reader shards (server.shards). Each shard owns a disjoint set of
   /// connections end to end: CQ, SRQ stripe, call queue, handlers.
   int shards = 1;
-  /// Let an idle shard's handlers take queued calls from sibling shards
-  /// (per-call bookkeeping stays on the call's home shard). Off by
-  /// default: stealing trades strict per-shard ordering for utilization.
-  bool steal = false;
   std::size_t eager_threshold = WireDefaults::kEagerThreshold;
   std::size_t recv_buf_size = WireDefaults::kRecvBufSize;
   /// Per-connection receive-ring depth — only used in legacy mode
@@ -123,6 +119,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
     // Protocol as pre-parsed at admission (per-protocol quota accounting);
     // only filled while admission control is on.
     std::string admit_protocol;
+    const std::string& admission_protocol() const { return admit_protocol; }
     // UD arrivals carry a per-datagram pseudo-ConnState (session id, owner,
     // home shard; no QP) plus the GRH return address — the response is one
     // datagram from the endpoint that received the call.
@@ -134,21 +131,14 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// One reader shard: a disjoint set of connections with its own CQ, SRQ
   /// stripe and pipeline (queue/admission/cache/stats). Everything a
   /// completion can touch lives here, so shards share no mutable state.
-  struct Shard {
-    Shard(sim::Scheduler& sched, std::uint32_t index, const rpc::OverloadConfig& cfg,
-          std::uint64_t seed, const rpc::SessionConfig& session)
-        : index(index),
-          cq(std::make_unique<verbs::CompletionQueue>(sched)),
-          pipeline(
-              sched, index, cfg,
-              [](const ServerCall& c) -> const std::string& { return c.admit_protocol; },
-              seed),
-          sessions(session) {}
+  struct Shard : rpc::ServerShard<ServerCall> {
+    Shard(cluster::Host& host, std::uint32_t index, const rpc::OverloadConfig& cfg,
+          const rpc::SessionConfig& session)
+        : ServerShard(host.sched(), index, host.id(), cfg, session,
+                      rpc::SessionTouch::kAtDequeue),
+          cq(std::make_unique<verbs::CompletionQueue>(host.sched())) {}
 
-    std::uint32_t index;
     std::unique_ptr<verbs::CompletionQueue> cq;
-    rpc::CallPipeline<ServerCall> pipeline;
-    rpc::SessionTable sessions;  // durable-session leases (home shard only)
     // This shard's stripe of the shared receive ring (null in legacy mode).
     std::unique_ptr<verbs::SharedReceiveQueue> srq;
     std::size_t srq_depth = 0;          // stripe depth
@@ -172,7 +162,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// Send one kResp datagram back through the receiving endpoint; bounces
   /// over-MTU responses with an error frame (a datagram can't fragment).
   sim::Co<void> ud_respond(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
-  sim::Task handler_loop(Shard& home, int handler_id);
+  sim::Task handler_loop(Shard& shard, int handler_id);
   /// Refill one shard's receive stripe whenever it drops below its low
   /// watermark (woken by the SRQ limit event; exits when the SRQ closes).
   sim::Task srq_refill_loop(Shard& shard);
@@ -183,11 +173,15 @@ class RdmaRpcServer final : public rpc::RpcServer {
   sim::Co<void> respond(ServerCall& call, RDMAOutputStream& out);
   /// Send an already-framed response verbatim (retry-cache dedup hits).
   sim::Co<void> respond_frame(ServerCall& call, net::ByteSpan frame);
-  /// Admission gate in front of the home shard's call queue; sheds with a
-  /// busy response.
+  /// Admit `call` into its home shard's pipeline (pre-parsing the header
+  /// for the admission gate when one is configured).
   sim::Co<void> enqueue_call(ServerCall call);
-  sim::Co<void> shed_call(ServerCall call, std::uint64_t id, trace::TraceContext ctx,
-                          const std::string& method, sim::Time start);
+  /// Answer one call busy (the admission gate's shed callback).
+  sim::Co<void> shed_call(ServerCall call);
+  /// Split a client-coalesced kBatch frame into per-call pooled copies and
+  /// admit each like a standalone call; every sub-call inherits `proto`'s
+  /// connection (and UD return address).
+  sim::Co<void> split_batch(const ServerCall& proto, net::ByteSpan frame);
   /// Post a pooled buffer as a receive: to `shard`'s SRQ stripe, or to
   /// `conn`'s own ring in legacy (srq_depth == 0) mode. wr_id is the
   /// buffer's address.
@@ -196,12 +190,6 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// stripe is full / the connection is gone).
   void recycle_recv_buffer(Shard& shard, ConnState* conn, NativeBuffer* buf);
   void note_ring_bytes(Shard& shard, std::size_t n);
-  /// Lease bookkeeping for one dequeued call: renew (or open, unless the
-  /// call is a retry) its session and drop retry-cache state for every
-  /// session the sweep expired or evicted. `call_id` fences the session's
-  /// incarnation when the call opens it.
-  void touch_session(Shard& shard, std::uint64_t session_id, bool retried,
-                     std::uint64_t call_id);
   /// The home shard of a connection (CQ, pipeline, pending_resp...).
   Shard& shard_of(const ConnState& conn) { return *shards_[conn.shard]; }
   /// Buffer one serialized small kResp frame for `conn`; flushes inline
@@ -212,11 +200,6 @@ class RdmaRpcServer final : public rpc::RpcServer {
   /// Delayed flush armed per batch; stands down if `epoch` already flushed
   /// or the server stopped (checked through the `alive_` token).
   sim::Task response_batch_timer(ConnPtr conn, std::uint64_t epoch, sim::Dur linger);
-  /// Fold the per-shard stat blocks into stats_ (idempotent; the scalar
-  /// aggregates are rebuilt from scratch on every call). Fields written
-  /// directly to stats_ by non-shard code (threshold_mismatches) are left
-  /// untouched.
-  void sync_stats();
 
   cluster::Host& host_;
   net::SocketTable& sockets_;
@@ -229,12 +212,8 @@ class RdmaRpcServer final : public rpc::RpcServer {
 
   net::Listener* listener_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Restart graveyard: a stopped run's CQs and shard pipelines still have
-  // wakes posted to their suspended reader/handler loops (Channel::close
-  // defers them to the scheduler), so a back-to-back stop()/start() must
-  // retire the old objects here instead of destroying them — the loops
-  // dereference their channels once more while exiting. Freed with the
-  // server.
+  // Restart graveyard (see rpc::retire_shards): a stopped run's CQs and
+  // shard pipelines still have wakes posted to their suspended loops.
   std::vector<std::unique_ptr<Shard>> retired_shards_;
   std::vector<std::unique_ptr<verbs::CompletionQueue>> retired_ud_cqs_;
   // Fixed UD endpoint pool (cfg_.ud): shared CQ + reader; kept alive
@@ -255,6 +234,9 @@ class RdmaRpcServer final : public rpc::RpcServer {
   // connection (the wr_id names only the shared buffer).
   std::map<std::uint64_t, ConnPtr> conns_;
   // Companion socket listener for bootstrap-failure fallback clients.
+  // Created at the first start() and stopped/restarted with this server,
+  // never replaced: a stopped run's handler loops still have wakes queued
+  // on its channels.
   std::unique_ptr<rpc::SocketRpcServer> fallback_;
   // Liveness token for detached flush timers: ConnState objects survive
   // stop() but the pool and stats must not be touched after it. Timers

@@ -169,7 +169,7 @@ Co<void> one_get(rpc::RpcClient& client, const std::string& key, int& out, bool&
   }
 }
 
-Task get_task(rpc::RpcClient& client, const std::string& key, int& out, bool& err) {
+Task get_task(rpc::RpcClient& client, std::string key, int& out, bool& err) {
   co_await one_get(client, key, out, err);
 }
 

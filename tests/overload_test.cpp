@@ -4,7 +4,8 @@
 // stop()-drain accounting — on both transports.
 //
 // Every test is seedable through RPCOIB_CHAOS_SEED (the chaos-suite
-// convention) so CI can sweep seeds; same seed => byte-identical runs.
+// convention) so CI can sweep seeds; same seed => byte-identical runs. The
+// storm also reads RPCOIB_SHARDS for its server shard count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -42,6 +43,11 @@ const rpc::MethodKey kPut{"test.BulkProtocol", "put"};
 std::uint64_t chaos_seed() {
   const char* env = std::getenv("RPCOIB_CHAOS_SEED");
   return env != nullptr ? std::strtoull(env, nullptr, 10) : 1;
+}
+
+int chaos_shards() {
+  const char* env = std::getenv("RPCOIB_SHARDS");
+  return env != nullptr ? static_cast<int>(std::strtoul(env, nullptr, 10)) : 1;
 }
 
 /// echo: IntWritable roundtrip. slow/slowB: sleep `slow_for`, return true.
@@ -644,6 +650,7 @@ TEST(Overload, StormIsBoundedAndByteIdenticalAcrossRuns) {
       ov.retry_cache_entries = 64;
       EngineConfig ec{.mode = mode,
                       .server_handlers = 2,
+                      .server_shards = chaos_shards(),
                       .retry = retry,
                       .overload = ov};
       // Enough prealloc for three connections' recv slots (3 x recv_depth)

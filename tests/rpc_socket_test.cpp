@@ -79,6 +79,7 @@ struct Fixture {
   ~Fixture() {
     client.close_connections();
     server.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   SocketRpcServer server;

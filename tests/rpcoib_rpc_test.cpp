@@ -55,6 +55,7 @@ struct Fixture {
   ~Fixture() {
     client.close_connections();
     server.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   verbs::VerbsStack stack;
@@ -212,6 +213,7 @@ TEST(RpcoIB, LatencyBeatsSocketBaselines) {
     EXPECT_TRUE(ok);
     client.close_connections();
     server.stop();
+    s.drain_tasks();
     return warm;
   };
   for (std::size_t n : {std::size_t{1}, std::size_t{1024}, std::size_t{4096}}) {
@@ -238,6 +240,7 @@ TEST(RpcEngine, ModesProduceWorkingPairs) {
     s.run_until(sim::seconds(10));
     EXPECT_TRUE(ok) << rpc_mode_name(mode);
     server->stop();
+    s.drain_tasks();
   }
 }
 

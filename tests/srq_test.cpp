@@ -244,6 +244,7 @@ struct ServerFixture {
   ~ServerFixture() {
     for (auto& c : clients) c->close_connections();
     server.stop();
+    tb.sched().drain_tasks();
   }
   Testbed tb;
   verbs::VerbsStack stack;

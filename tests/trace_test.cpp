@@ -123,6 +123,7 @@ struct ChainFixture {
   ~ChainFixture() {
     front->stop();
     back->stop();
+    tb.sched().drain_tasks();
   }
   TraceCollector col;
   Testbed tb;
