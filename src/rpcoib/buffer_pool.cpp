@@ -1,10 +1,131 @@
 #include "rpcoib/buffer_pool.hpp"
 
-#include <stdexcept>
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
+#include <new>
+#include <stdexcept>
+#include <unordered_map>
+
+#include "sim/frame_pool.hpp"
 #include "trace/trace.hpp"
 
 namespace rpcoib::oib {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Block store: the host memory behind every pool's buffers.
+//
+// The paper's pool pre-registers far more native memory than a run ever
+// leases, and a benchmark builds and tears down its endpoints repeatedly.
+// So blocks are carved from large anonymous mappings, which read as zero
+// and become resident only in the pages something writes, and a destroyed
+// pool's blocks are recycled by exact size instead of being freed. Every
+// block taken reads all-zero, as a fresh net::Bytes(n) did: a block whose
+// buffer was ever leased is cleared when it comes back.
+//
+// A cleared block stays resident ("warm"), so the next pool of the same
+// shape reuses it without page faults. Before new memory is carved, the
+// whole pages of every warm block are handed back to the kernel (they read
+// as zero again), so a run whose buffer sizes change from one set-up to
+// the next does not keep the old sizes resident.
+//
+// Under AddressSanitizer a stored block is poisoned, so use of a destroyed
+// pool's buffer is reported, and every block is followed by a poisoned
+// guard, so an overflow into the next block is reported. The ASAN_* macros
+// are no-ops in other builds.
+class BlockStore {
+ public:
+  net::Byte* take(std::size_t size) {
+    Stored& stored = stored_[size];
+    net::Byte* p;
+    if (!stored.warm.empty()) {
+      p = stored.warm.back();
+      stored.warm.pop_back();
+      --warm_blocks_;
+    } else if (!stored.cold.empty()) {
+      p = stored.cold.back();
+      stored.cold.pop_back();
+    } else {
+      cool_down();
+      p = carve(size);
+    }
+    ASAN_UNPOISON_MEMORY_REGION(p, size);
+    return p;
+  }
+
+  void give(net::Byte* p, std::size_t size, bool dirty) {
+    Stored& stored = stored_[size];
+    if (dirty) {
+      std::memset(p, 0, size);
+      stored.warm.push_back(p);
+      ++warm_blocks_;
+    } else {
+      stored.cold.push_back(p);
+    }
+    ASAN_POISON_MEMORY_REGION(p, size);
+  }
+
+ private:
+  struct Stored {
+    std::vector<net::Byte*> warm;  // written to since mapped or cooled: resident
+    std::vector<net::Byte*> cold;  // resident at most in pages shared with neighbours
+  };
+
+  static constexpr std::size_t kChunkBytes = 4u << 20;
+  static constexpr std::size_t kAlign = 64;
+  static constexpr std::size_t kGuardBytes = RPCOIB_ASAN_BUILD ? kAlign : 0;
+
+  static std::size_t round_up(std::size_t n, std::size_t to) { return (n + to - 1) / to * to; }
+
+  void cool_down() {
+    if (warm_blocks_ == 0) return;
+    static const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    for (auto& [size, stored] : stored_) {
+      for (net::Byte* p : stored.warm) {
+        const std::uintptr_t lo = round_up(reinterpret_cast<std::uintptr_t>(p), page);
+        const std::uintptr_t hi = (reinterpret_cast<std::uintptr_t>(p) + size) / page * page;
+        if (lo < hi) ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+      }
+      stored.cold.insert(stored.cold.end(), stored.warm.begin(), stored.warm.end());
+      stored.warm.clear();
+    }
+    warm_blocks_ = 0;
+  }
+
+  net::Byte* carve(std::size_t size) {
+    const std::size_t need = round_up(size + kGuardBytes, kAlign);
+    if (need > left_) {
+      const std::size_t len = round_up(need, kChunkBytes);
+      void* m = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (m == MAP_FAILED) throw std::bad_alloc();
+      // A transparent huge page would make 2 MB resident for one written byte.
+      ::madvise(m, len, MADV_NOHUGEPAGE);
+      ASAN_POISON_MEMORY_REGION(m, len);
+      auto* chunk = static_cast<net::Byte*>(m);
+      // Keep carving from whichever chunk has more room left.
+      if (len - need <= left_) return chunk;
+      next_ = chunk;
+      left_ = len;
+    }
+    net::Byte* p = next_;
+    next_ += need;
+    left_ -= need;
+    return p;
+  }
+
+  std::unordered_map<std::size_t, Stored> stored_;
+  std::size_t warm_blocks_ = 0;
+  net::Byte* next_ = nullptr;  // uncarved tail of the current chunk
+  std::size_t left_ = 0;
+};
+
+thread_local BlockStore store;
+
+}  // namespace
 
 NativeBufferPool::NativeBufferPool(cluster::Host& host, verbs::VerbsStack& stack,
                                    PoolConfig cfg)
@@ -18,7 +139,9 @@ NativeBufferPool::NativeBufferPool(cluster::Host& host, verbs::VerbsStack& stack
   free_.resize(class_sizes_.size());
 }
 
-NativeBufferPool::~NativeBufferPool() = default;
+NativeBufferPool::~NativeBufferPool() {
+  for (NativeBuffer& b : owned_) store.give(b.span.data(), b.span.size(), b.dirty);
+}
 
 std::size_t NativeBufferPool::class_index_for(std::size_t size) const {
   for (std::size_t i = 0; i < class_sizes_.size(); ++i) {
@@ -31,13 +154,12 @@ std::size_t NativeBufferPool::class_size_for(std::size_t size) const {
   return class_sizes_[class_index_for(size)];
 }
 
-std::unique_ptr<NativeBuffer> NativeBufferPool::make_buffer(std::size_t cls_index) {
-  auto buf = std::make_unique<NativeBuffer>();
-  buf->cls = cls_index;
-  // Backing storage lives in a Bytes the NativeBuffer's span points into;
-  // keep it alive by storing it adjacent. Simplest: allocate raw and wrap.
-  backing_.push_back(net::Bytes(class_sizes_[cls_index]));
-  buf->span = net::MutByteSpan(backing_.back());
+NativeBuffer& NativeBufferPool::make_buffer(std::size_t cls_index) {
+  const std::size_t size = class_sizes_[cls_index];
+  net::Byte* block = store.take(size);
+  NativeBuffer& buf = owned_.emplace_back();
+  buf.span = net::MutByteSpan(block, size);
+  buf.cls = cls_index;
   return buf;
 }
 
@@ -55,22 +177,20 @@ sim::Co<void> NativeBufferPool::initialize(std::size_t extra_size,
   for (std::size_t c = 0; c < class_sizes_.size(); ++c) {
     if (class_sizes_[c] > cfg_.prealloc_max_class) break;
     for (std::size_t i = 0; i < cfg_.buffers_per_class; ++i) {
-      std::unique_ptr<NativeBuffer> buf = make_buffer(c);
-      buf->mr = co_await pd_.register_mr(buf->span);
-      stats_.registered_bytes += buf->span.size();
-      free_[c].push_back(buf.get());
-      owned_.push_back(std::move(buf));
+      NativeBuffer& buf = make_buffer(c);
+      buf.mr = co_await pd_.register_mr(buf.span);
+      stats_.registered_bytes += buf.span.size();
+      free_[c].push_back(&buf);
       ++registered;
     }
   }
   if (extra_size > 0) {
     const std::size_t c = class_index_for(extra_size);
     for (std::size_t i = 0; i < extra_count; ++i) {
-      std::unique_ptr<NativeBuffer> buf = make_buffer(c);
-      buf->mr = co_await pd_.register_mr(buf->span);
-      stats_.registered_bytes += buf->span.size();
-      free_[c].push_back(buf.get());
-      owned_.push_back(std::move(buf));
+      NativeBuffer& buf = make_buffer(c);
+      buf.mr = co_await pd_.register_mr(buf.span);
+      stats_.registered_bytes += buf.span.size();
+      free_[c].push_back(&buf);
       ++registered;
     }
   }
@@ -84,20 +204,18 @@ NativeBuffer* NativeBufferPool::acquire(std::size_t size) {
     ++stats_.freelist_hits;
     NativeBuffer* buf = free_[c].back();
     free_[c].pop_back();
-    buf->leased = true;
+    buf->leased = buf->dirty = true;
     return buf;
   }
   // Pool ran dry for this class: demand-allocate + register (untimed here;
   // the miss is visible in stats and the registration cost is charged by
   // the caller if it cares — on the paper's workloads this path is cold).
   ++stats_.demand_allocations;
-  std::unique_ptr<NativeBuffer> buf = make_buffer(c);
-  buf->mr = pd_.register_mr_untimed(buf->span);
-  stats_.registered_bytes += buf->span.size();
-  NativeBuffer* raw = buf.get();
-  owned_.push_back(std::move(buf));
-  raw->leased = true;
-  return raw;
+  NativeBuffer& buf = make_buffer(c);
+  buf.mr = pd_.register_mr_untimed(buf.span);
+  stats_.registered_bytes += buf.span.size();
+  buf.leased = buf.dirty = true;
+  return &buf;
 }
 
 NativeBuffer* NativeBufferPool::try_acquire(std::size_t size) {

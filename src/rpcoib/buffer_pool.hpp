@@ -11,11 +11,16 @@
 // (Fig. 3). On underestimate the output stream re-gets a doubled buffer
 // and the history grows; on overestimate the history shrinks, bounding
 // memory footprint.
+//
+// Host representation: every buffer's bytes are a block of the per-thread
+// block store (buffer_pool.cpp), not a heap allocation of its own. Blocks
+// become resident host memory only where the simulation writes to them,
+// and a destroyed pool's blocks are reused by the next pool.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "cluster/host.hpp"
@@ -42,6 +47,7 @@ struct NativeBuffer {
   verbs::MemoryRegion mr;    // pre-registered region covering span
   std::size_t cls = 0;       // size-class index in the owning pool
   bool leased = false;       // debugging guard against double lease/release
+  bool dirty = false;        // ever leased: its block is zeroed on return to the store
 };
 
 struct PoolConfig {
@@ -117,17 +123,15 @@ class NativeBufferPool {
 
  private:
   std::size_t class_index_for(std::size_t size) const;
-  std::unique_ptr<NativeBuffer> make_buffer(std::size_t cls_index);
+  NativeBuffer& make_buffer(std::size_t cls_index);
 
   cluster::Host& host_;
   verbs::ProtectionDomain pd_;
   PoolConfig cfg_;
   std::vector<std::size_t> class_sizes_;
-  // Owned buffers (stable addresses) and per-class freelists of raw ptrs.
-  // Backing byte blocks: moving the vector moves the Bytes objects but not
-  // their heap storage, so spans stay valid.
-  std::vector<net::Bytes> backing_;
-  std::vector<std::unique_ptr<NativeBuffer>> owned_;
+  // Owned buffers (a deque keeps their addresses stable) and per-class
+  // freelists of raw ptrs.
+  std::deque<NativeBuffer> owned_;
   std::vector<std::vector<NativeBuffer*>> free_;
   PoolStats stats_;
   bool initialized_ = false;

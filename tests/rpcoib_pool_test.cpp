@@ -3,7 +3,9 @@
 // size locality), stream re-gets, zero-copy reads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "net/testbed.hpp"
@@ -363,6 +365,91 @@ TEST(RdmaStream, AbandonedStreamReturnsBufferToPool) {
     // no take_buffer: destructor must release
   }
   EXPECT_EQ(f.pool.stats().releases, releases_before + 1);
+}
+
+// Every class of `pool`, three buffers each: with two pre-registered per
+// class up to 4 KB, the third (and every buffer above 4 KB) is a demand
+// allocation, up to the 4 MB rendezvous class.
+std::vector<NativeBuffer*> lease_three_per_class(NativeBufferPool& pool) {
+  std::vector<NativeBuffer*> got;
+  for (std::size_t size = pool.config().min_class; size <= pool.config().max_class; size *= 2) {
+    for (int i = 0; i < 3; ++i) got.push_back(pool.acquire(size));
+  }
+  return got;
+}
+
+bool all_zero(const NativeBuffer* b) {
+  return std::all_of(b->span.begin(), b->span.end(), [](net::Byte x) { return x == 0; });
+}
+
+// Pool memory is recycled across pools: a destroyed pool's blocks serve the
+// next pool, and whatever the first pool's callers wrote into them, the
+// next pool's buffers read all-zero, exactly like freshly allocated memory.
+TEST(NativePool, RecycledBlocksReadAllZeroInTheNextPool) {
+  const PoolConfig cfg{.min_class = 512, .prealloc_max_class = 4096, .buffers_per_class = 2};
+  std::set<const net::Byte*> first_blocks;
+  {
+    Scheduler s;
+    PoolFixture f(s, cfg);
+    s.spawn(init_pool(f.pool));
+    s.run();
+    std::vector<NativeBuffer*> got = lease_three_per_class(f.pool);
+    EXPECT_GT(f.pool.stats().demand_allocations, 0u);
+    for (NativeBuffer* b : got) {
+      std::fill(b->span.begin(), b->span.end(), net::Byte{0xA5});
+      first_blocks.insert(b->span.data());
+    }
+    // Half go back to the freelist; the rest are still leased when the
+    // pool is destroyed.
+    for (std::size_t i = 0; i < got.size(); i += 2) f.pool.release(got[i]);
+  }
+  const PoolConfig other{.min_class = 1024, .prealloc_max_class = 64u << 10, .buffers_per_class = 4};
+  for (const PoolConfig& next : {cfg, other}) {
+    Scheduler s;
+    PoolFixture f(s, next);
+    s.spawn(init_pool(f.pool));
+    s.run();
+    std::size_t reused = 0;
+    for (NativeBuffer* b : lease_three_per_class(f.pool)) {
+      EXPECT_TRUE(all_zero(b)) << "class " << b->span.size();
+      reused += first_blocks.count(b->span.data());
+      std::fill(b->span.begin(), b->span.end(), net::Byte{0x5A});
+    }
+    EXPECT_GT(reused, 0u);
+  }
+}
+
+// The block store must not hide memory errors from AddressSanitizer: every
+// block is followed by a poisoned guard, and a stored block is poisoned.
+TEST(NativePoolDeathTest, OverflowPastLeasedBufferIsReported) {
+  if (!RPCOIB_ASAN_BUILD) GTEST_SKIP() << "needs AddressSanitizer";
+  EXPECT_DEATH(
+      {
+        Scheduler s;
+        PoolFixture f(s);
+        NativeBuffer* b = f.pool.acquire(512);
+        volatile net::Byte* p = b->span.data();
+        p[b->span.size()] = 1;
+      },
+      "use-after-poison");
+}
+
+TEST(NativePoolDeathTest, ReadOfDestroyedPoolsBufferIsReported) {
+  if (!RPCOIB_ASAN_BUILD) GTEST_SKIP() << "needs AddressSanitizer";
+  EXPECT_DEATH(
+      {
+        const volatile net::Byte* p = nullptr;
+        {
+          Scheduler s;
+          PoolFixture f(s);
+          NativeBuffer* b = f.pool.acquire(512);
+          p = b->span.data();
+          f.pool.release(b);
+        }
+        const net::Byte x = p[0];
+        (void)x;
+      },
+      "use-after-poison");
 }
 
 }  // namespace
