@@ -90,10 +90,11 @@ class DataInputBuffer final : public DataInput {
   DataInputBuffer(const cluster::CostModel& cm, net::ByteSpan data)
       : DataInput(cm), data_(data) {}
 
-  void read_raw(net::MutByteSpan out) override {
-    if (out.size() > remaining()) throw SerializationError("read past end of buffer");
-    std::memcpy(out.data(), data_.data() + pos_, out.size());
-    pos_ += out.size();
+  net::ByteSpan read_view(std::size_t n) override {
+    if (n > remaining()) throw SerializationError("read past end of buffer");
+    const net::ByteSpan v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
   }
 
   std::size_t remaining() const override { return data_.size() - pos_; }

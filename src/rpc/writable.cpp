@@ -119,7 +119,7 @@ double DataInput::read_f64() { return std::bit_cast<double>(read_u64()); }
 
 std::int64_t DataInput::read_vi64() {
   accrue(cost_model().field_op());
-  net::Byte first;
+  net::Byte first = 0;
   read_raw(net::MutByteSpan(&first, 1));
   const auto fb = static_cast<std::int8_t>(first);
   if (fb >= -112) return fb;
@@ -127,7 +127,7 @@ std::int64_t DataInput::read_vi64() {
   const int n = neg ? -(fb + 120) : -(fb + 112);
   std::uint64_t mag = 0;
   for (int i = 0; i < n; ++i) {
-    net::Byte b;
+    net::Byte b = 0;
     read_raw(net::MutByteSpan(&b, 1));
     mag = (mag << 8) | b;
   }
@@ -161,13 +161,13 @@ void DataInput::read_text(std::string& out) {
 net::Bytes DataInput::read_bytes() {
   const std::uint32_t len = read_u32();
   if (len > remaining()) throw SerializationError("bad bytes length");
-  net::Bytes b(len);
   // BytesWritable.readFields: setCapacity() allocates the backing array,
-  // then in.readFully copies into it.
+  // then in.readFully copies into it. Modelled as those two steps; the
+  // host builds the vector from the stream in one pass.
   accrue_alloc(cost_model().heap_alloc(len));
   accrue(cost_model().field_op() + cost_model().heap_copy(len));
-  read_raw(b);
-  return b;
+  const net::ByteSpan in = read_view(len);
+  return net::Bytes(in.begin(), in.end());
 }
 
 }  // namespace rpcoib::rpc

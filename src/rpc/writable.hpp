@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -92,8 +93,16 @@ class DataInput {
   explicit DataInput(const cluster::CostModel& cm) : cm_(cm) {}
   virtual ~DataInput() = default;
 
-  virtual void read_raw(net::MutByteSpan out) = 0;
+  /// The next `n` bytes as one contiguous view into the stream's storage,
+  /// consumed; concrete sources implement this. Throws SerializationError
+  /// past the end.
+  virtual net::ByteSpan read_view(std::size_t n) = 0;
   virtual std::size_t remaining() const = 0;
+
+  void read_raw(net::MutByteSpan out) {
+    const net::ByteSpan in = read_view(out.size());
+    if (!in.empty()) std::memcpy(out.data(), in.data(), in.size());
+  }
 
   std::uint8_t read_u8() {
     accrue(cm_.field_op());

@@ -98,10 +98,11 @@ class RDMAInputStream final : public rpc::DataInput {
   RDMAInputStream(const cluster::CostModel& cm, net::ByteSpan data)
       : rpc::DataInput(cm), data_(data) {}
 
-  void read_raw(net::MutByteSpan out) override {
-    if (out.size() > remaining()) throw rpc::SerializationError("read past end of RDMA buffer");
-    std::memcpy(out.data(), data_.data() + pos_, out.size());
-    pos_ += out.size();
+  net::ByteSpan read_view(std::size_t n) override {
+    if (n > remaining()) throw rpc::SerializationError("read past end of RDMA buffer");
+    const net::ByteSpan v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
   }
 
   std::size_t remaining() const override { return data_.size() - pos_; }

@@ -274,6 +274,39 @@ TEST(Writables, TextReadIntoReusedStringAccruesModelledCost) {
   }
 }
 
+// BytesWritable.readFields is modelled as an allocation plus one copy out
+// of the stream, whichever stream the bytes arrive in.
+TEST(Writables, BytesReadAccruesModelledCostOnBothStreamKinds) {
+  net::Bytes payload(3000);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<net::Byte>(i * 7 + 1);
+  rpc::DataOutputBuffer out(kCm);
+  out.write_bytes(payload);
+  out.write_u8(0x42);  // a field after the bytes must still line up
+  rpc::DataInputBuffer length_only(kCm, out.data());
+  (void)length_only.read_u32();
+  const sim::Dur length_cost = length_only.take_accrued();
+  const sim::Dur alloc_cost = kCm.heap_alloc(payload.size());
+
+  rpc::DataInputBuffer heap_in(kCm, out.data());
+  oib::RDMAInputStream rdma_in(kCm, out.data());
+  for (rpc::DataInput* in : {static_cast<rpc::DataInput*>(&heap_in),
+                             static_cast<rpc::DataInput*>(&rdma_in)}) {
+    EXPECT_EQ(in->read_bytes(), payload);
+    EXPECT_EQ(in->take_alloc_accrued(), alloc_cost);
+    EXPECT_EQ(in->take_accrued(),
+              length_cost + alloc_cost + kCm.field_op() + kCm.heap_copy(payload.size()));
+    EXPECT_EQ(in->read_u8(), 0x42);
+    EXPECT_EQ(in->remaining(), 0u);
+  }
+
+  // A length running past the end of the stream is refused on both kinds.
+  const net::ByteSpan truncated(out.data().data(), out.data().size() - 2);
+  rpc::DataInputBuffer short_heap(kCm, truncated);
+  oib::RDMAInputStream short_rdma(kCm, truncated);
+  EXPECT_THROW(short_heap.read_bytes(), rpc::SerializationError);
+  EXPECT_THROW(short_rdma.read_bytes(), rpc::SerializationError);
+}
+
 TEST(HBaseWritables, PutGetRoundTrip) {
   hbase::PutParam p;
   p.key = "user12345";
