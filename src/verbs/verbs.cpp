@@ -354,6 +354,8 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
   co_await host_.compute(p.per_msg_send_cpu);
 
   net::Bytes payload(buf.begin(), buf.end());
+  // Size read before the move: argument evaluation order is unspecified.
+  const std::size_t wire_bytes = kGrhBytes + payload.size();
   VerbsStack* stack = &stack_;
   const cluster::HostId src_host = host_.id();
   const std::uint32_t src_qpn = qpn_;
@@ -361,7 +363,7 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
   // Destination resolution happens at arrival: a datagram to an endpoint
   // that no longer exists simply vanishes.
   const sim::Time arrival = fab.deliver_datagram(
-      src_host, ah.host, net::Transport::kIBVerbs, kGrhBytes + payload.size(),
+      src_host, ah.host, net::Transport::kIBVerbs, wire_bytes,
       [stack, src_host, src_qpn, dst_qpn, payload = std::move(payload)]() mutable {
         UdEndpoint* ep = stack->ud_lookup(dst_qpn);
         if (ep != nullptr) ep->on_datagram_arrival(src_host, src_qpn, std::move(payload));

@@ -231,5 +231,42 @@ TEST(QueuePair, SmallMessageLatencyNearHardwareFigure) {
   EXPECT_LT(sim::to_us(oneway), 5.0);
 }
 
+Task ud_send(UdEndpoint& ep, AddressHandle ah, Bytes payload) {
+  co_await ep.post_send(1, ah, payload);
+}
+
+Task ud_recv(CompletionQueue& rcq, Scheduler& s, sim::Time& arrived) {
+  (void)co_await rcq.wait();
+  arrived = s.now();
+}
+
+// Virtual time at which a lone UD datagram with `payload_bytes` of payload
+// lands in a posted receive on an idle fabric.
+sim::Time ud_arrival(std::size_t payload_bytes) {
+  Scheduler s;
+  VerbsFixture f(s);
+  CompletionQueue scq_a(s), rcq_a(s), scq_b(s), rcq_b(s);
+  UdEndpoint a(f.stack, f.tb.host(0), scq_a, rcq_a);
+  UdEndpoint b(f.stack, f.tb.host(1), scq_b, rcq_b);
+  Bytes ring(UdEndpoint::kGrhBytes + UdEndpoint::kMtu);
+  b.post_recv(7, ring);
+  sim::Time arrived = 0;
+  s.spawn(ud_recv(rcq_b, s, arrived));
+  s.spawn(ud_send(a, AddressHandle{f.tb.host(1).id(), b.qpn()}, Bytes(payload_bytes, 1)));
+  s.run();
+  s.drain_tasks();
+  return arrived;
+}
+
+// Regression: the wire charge once read the payload size in the same
+// argument list that moved the payload, so under GCC every datagram was
+// charged as an empty one (GRH only), whatever its size.
+TEST(Ud, DatagramIsChargedWireTimeForItsOwnSize) {
+  const sim::Time small = ud_arrival(16);
+  const sim::Time full = ud_arrival(UdEndpoint::kMtu);
+  ASSERT_GT(small, 0u);
+  EXPECT_GT(full, small);
+}
+
 }  // namespace
 }  // namespace rpcoib::verbs
