@@ -9,6 +9,7 @@
 #include <new>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/frame_pool.hpp"
 #include "trace/trace.hpp"
@@ -39,6 +40,13 @@ namespace {
 // are no-ops in other builds.
 class BlockStore {
  public:
+  BlockStore() = default;
+  BlockStore(const BlockStore&) = delete;
+  BlockStore& operator=(const BlockStore&) = delete;
+  ~BlockStore() {
+    for (const auto& [base, len] : chunks_) ::munmap(base, len);
+  }
+
   net::Byte* take(std::size_t size) {
     Stored& stored = stored_[size];
     net::Byte* p;
@@ -71,7 +79,7 @@ class BlockStore {
 
  private:
   struct Stored {
-    std::vector<net::Byte*> warm;  // written to since mapped or cooled: resident
+    std::vector<net::Byte*> warm;  // cleared on return, so resident
     std::vector<net::Byte*> cold;  // resident at most in pages shared with neighbours
   };
 
@@ -102,6 +110,7 @@ class BlockStore {
       const std::size_t len = round_up(need, kChunkBytes);
       void* m = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
       if (m == MAP_FAILED) throw std::bad_alloc();
+      chunks_.emplace_back(m, len);
       // A transparent huge page would make 2 MB resident for one written byte.
       ::madvise(m, len, MADV_NOHUGEPAGE);
       ASAN_POISON_MEMORY_REGION(m, len);
@@ -117,6 +126,7 @@ class BlockStore {
     return p;
   }
 
+  std::vector<std::pair<void*, std::size_t>> chunks_;  // every mapping, for the destructor
   std::unordered_map<std::size_t, Stored> stored_;
   std::size_t warm_blocks_ = 0;
   net::Byte* next_ = nullptr;  // uncarved tail of the current chunk

@@ -427,9 +427,13 @@ TEST(NativePoolDeathTest, OverflowPastLeasedBufferIsReported) {
       {
         Scheduler s;
         PoolFixture f(s);
+        // Two demand allocations in a row: without the guard, the second
+        // block would start right where the first one ends.
+        NativeBuffer* a = f.pool.acquire(512);
         NativeBuffer* b = f.pool.acquire(512);
-        volatile net::Byte* p = b->span.data();
-        p[b->span.size()] = 1;
+        volatile net::Byte* p = a->span.data();
+        p[a->span.size()] = 1;
+        f.pool.release(b);
       },
       "use-after-poison");
 }
