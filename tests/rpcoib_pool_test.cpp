@@ -367,9 +367,8 @@ TEST(RdmaStream, AbandonedStreamReturnsBufferToPool) {
   EXPECT_EQ(f.pool.stats().releases, releases_before + 1);
 }
 
-// Every class of `pool`, three buffers each: with two pre-registered per
-// class up to 4 KB, the third (and every buffer above 4 KB) is a demand
-// allocation, up to the 4 MB rendezvous class.
+// Three buffers from every class of `pool`. Whatever the pool did not
+// pre-register is demand-allocated, up to the 4 MB rendezvous class.
 std::vector<NativeBuffer*> lease_three_per_class(NativeBufferPool& pool) {
   std::vector<NativeBuffer*> got;
   for (std::size_t size = pool.config().min_class; size <= pool.config().max_class; size *= 2) {
