@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Run one command and append its peak resident set size to a report.
+"""Run one command and append its host resource use to a report.
 
 Usage:
     python3 ci/host_rss.py REPORT NAME -- CMD [ARG ...]
 
-Runs CMD, then appends the line "NAME max_rss_kb=N" to REPORT, where N is
-the child's own ru_maxrss (from wait4, so earlier commands do not leak into
-it). The command's stdout and stderr pass through untouched, and the exit
-code is the command's. The report is kept apart from the bench JSONs so
-those stay byte-identical across host-only changes; nothing gates on it.
+Runs CMD, then appends the line
+"NAME max_rss_kb=N minflt=F sys_s=S" to REPORT: the child's own peak
+resident set size, minor page faults and system CPU seconds (from wait4,
+so earlier commands do not leak into them). The command's stdout and
+stderr pass through untouched, and the exit code is the command's. The
+report is kept apart from the bench JSONs so those stay byte-identical
+across host-only changes; nothing gates on it.
 """
 import os
 import sys
@@ -26,7 +28,8 @@ def main(argv):
             os._exit(127)
     _, status, usage = os.wait4(pid, 0)
     with open(report, "a") as f:
-        f.write("%s max_rss_kb=%d\n" % (name, usage.ru_maxrss))
+        f.write("%s max_rss_kb=%d minflt=%d sys_s=%.3f\n"
+                % (name, usage.ru_maxrss, usage.ru_minflt, usage.ru_stime))
     return os.waitstatus_to_exitcode(status)
 
 

@@ -91,18 +91,6 @@ sim::Co<void> Socket::read_full(MutByteSpan out) {
   }
 }
 
-sim::Co<Bytes> Socket::read_chunk() {
-  try {
-    co_await fill();
-  } catch (const sim::ChannelClosed&) {
-    throw SocketError("connection closed by peer");
-  }
-  Bytes out(pending_.begin() + static_cast<std::ptrdiff_t>(pending_off_), pending_.end());
-  pending_.clear();
-  pending_off_ = 0;
-  co_return out;
-}
-
 SocketTable::SocketTable(Fabric& fab, std::vector<cluster::Host*> hosts)
     : fab_(fab), hosts_(std::move(hosts)) {}
 

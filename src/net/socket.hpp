@@ -71,10 +71,6 @@ class Socket : public std::enable_shared_from_this<Socket> {
   /// SocketError on EOF before completion.
   sim::Co<void> read_full(MutByteSpan out);
 
-  /// Read whatever chunk arrives next (at most one chunk). Empty result
-  /// never happens; EOF throws SocketError.
-  sim::Co<Bytes> read_chunk();
-
   /// Half-close: peer reads EOF after draining. Idempotent.
   void close();
 

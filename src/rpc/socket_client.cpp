@@ -300,7 +300,7 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
       tr != nullptr ? tr->take_ambient() : trace::TraceContext{};
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(tr, "rpc:" + key.method, trace::Kind::kClient,
+  trace::SpanScope rpc(tr, "rpc:", key.method, trace::Kind::kClient,
                        trace::Category::kWire, t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   ConnectionPtr conn = co_await get_connection(addr);

@@ -328,7 +328,7 @@ sim::Task SocketRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
       }
       if (screen.verdict != Verdict::kExecute) continue;
 
-      trace::SpanScope handle(tr, "handle:" + head.key.method, trace::Kind::kServer,
+      trace::SpanScope handle(tr, "handle:", head.key.method, trace::Kind::kServer,
                               trace::Category::kHandler, head.ctx, host_.id());
       co_await host_.compute(cm.thread_wakeup() + cm.rpc_framework());
 

@@ -15,6 +15,10 @@
 #include "trace/trace.hpp"
 
 namespace rpcoib::oib {
+
+// Payload vectors of every size the pool serves come from the heap.
+static_assert(PoolConfig{}.max_class == sim::kHeapMmapThreshold);
+
 namespace {
 
 // ---------------------------------------------------------------------------

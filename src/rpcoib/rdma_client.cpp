@@ -731,7 +731,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
   co_await pool_ready_.wait();
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(tr, "rpc.ud:" + key.method, trace::Kind::kClient,
+  trace::SpanScope rpc(tr, "rpc.ud:", key.method, trace::Kind::kClient,
                        trace::Category::kWire, t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   co_await host_.compute(cm.rpc_framework());
@@ -1095,7 +1095,7 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   }
   const cluster::CostModel& cm = host_.cost();
   const sim::Time t_start = host_.sched().now();
-  trace::SpanScope rpc(tr, "rpc:" + key.method, trace::Kind::kClient,
+  trace::SpanScope rpc(tr, "rpc:", key.method, trace::Kind::kClient,
                        trace::Category::kWire, t_parent, host_.id());
   const trace::TraceContext ctx = rpc.context();
   ConnectionPtr conn;

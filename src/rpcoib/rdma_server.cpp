@@ -861,7 +861,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
         native_.release(call.buf);
         continue;
       }
-      trace::SpanScope handle(tr, "handle:" + head.key.method, trace::Kind::kServer,
+      trace::SpanScope handle(tr, "handle:", head.key.method, trace::Kind::kServer,
                               trace::Category::kHandler, head.ctx, host_.id());
       in.trace_context = handle.context();
 

@@ -2,6 +2,10 @@
 
 #include <new>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace rpcoib::sim::frame_pool {
 namespace {
 
@@ -38,3 +42,23 @@ void deallocate(void* p, std::size_t bytes) noexcept {
 }
 
 }  // namespace rpcoib::sim::frame_pool
+
+namespace rpcoib::sim {
+
+void pin_heap_policy() {
+#if defined(__GLIBC__) && !RPCOIB_ASAN_BUILD
+  // The heap top goes back to the kernel only once this much of it is
+  // free: twice the 8 MB four concurrent 2 MB payloads keep live, because
+  // free space fragments around them. It is the smallest power of two
+  // with no faults once warm (HeapPolicy test; 8 MB still trims).
+  constexpr std::size_t kHeapTrimThreshold = 16u << 20;
+  static const bool pinned = [] {
+    mallopt(M_MMAP_THRESHOLD, static_cast<int>(kHeapMmapThreshold));
+    mallopt(M_TRIM_THRESHOLD, static_cast<int>(kHeapTrimThreshold));
+    return true;
+  }();
+  (void)pinned;
+#endif
+}
+
+}  // namespace rpcoib::sim

@@ -1,4 +1,5 @@
-// Recycling allocator for coroutine frames.
+// Recycling allocator for coroutine frames, and the process's glibc
+// large-block policy (pin_heap_policy, at the end).
 //
 // Every simulated call, wait and process is a coroutine frame; allocating
 // each one from the general heap was a large share of the simulator's host
@@ -51,6 +52,22 @@ struct Allocator {
 };
 
 }  // namespace rpcoib::sim::frame_pool
+
+namespace rpcoib::sim {
+
+/// glibc malloc's large-block policy, pinned once per process by the first
+/// Scheduler. Left dynamic, glibc serves each 16 KB-2 MB payload vector
+/// (net::Bytes copies of RPC params, replies and RDMA payloads) from a
+/// fresh mapping, or from heap top it trims back right after, so every
+/// large call page-faults its payload in again. Pinned, blocks below
+/// kHeapMmapThreshold (the buffer pool's largest class) come from the
+/// heap, and the heap top stays mapped up to a trim threshold (see
+/// frame_pool.cpp). Host representation only; a no-op off glibc and
+/// under ASan (its allocator replaces malloc).
+inline constexpr std::size_t kHeapMmapThreshold = 4u << 20;
+void pin_heap_policy();
+
+}  // namespace rpcoib::sim
 
 namespace rpcoib::sim::detail {
 

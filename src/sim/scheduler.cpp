@@ -3,7 +3,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/frame_pool.hpp"
+
 namespace rpcoib::sim {
+
+Scheduler::Scheduler() { pin_heap_policy(); }
 
 Scheduler::~Scheduler() {
   // Pending callbacks are destroyed with the slab; anything their captures'

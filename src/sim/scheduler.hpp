@@ -31,7 +31,7 @@ class JoinHandle;
 
 class Scheduler {
  public:
-  Scheduler() = default;
+  Scheduler();
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;

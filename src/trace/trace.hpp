@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,18 @@ class SpanScope {
     if (tr != nullptr && tr->enabled()) {
       tr_ = tr;
       id_ = tr->begin_span(std::move(name), kind, cat, parent, host);
+    }
+  }
+  /// Span named `prefix + name`; the name is only built when tracing is
+  /// on, so an untraced call site allocates nothing.
+  SpanScope(TraceCollector* tr, std::string_view prefix, std::string_view name, Kind kind,
+            Category cat, TraceContext parent, int host) {
+    if (tr != nullptr && tr->enabled()) {
+      std::string full;
+      full.reserve(prefix.size() + name.size());
+      full.append(prefix).append(name);
+      tr_ = tr;
+      id_ = tr->begin_span(std::move(full), kind, cat, parent, host);
     }
   }
   SpanScope(SpanScope&& o) noexcept : tr_(o.tr_), id_(o.id_) { o.tr_ = nullptr; }

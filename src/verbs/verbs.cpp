@@ -148,7 +148,7 @@ void SharedReceiveQueue::note_stall() {
 
 QueuePair::QueuePair(VerbsStack& stack, cluster::Host& host, CompletionQueue& send_cq,
                      CompletionQueue& recv_cq)
-    : stack_(stack), host_(host), send_cq_(send_cq), recv_cq_(recv_cq) {}
+    : stack_(stack), host_(host), send_cq_(send_cq.handle()), recv_cq_(recv_cq.handle()) {}
 
 QueuePair::~QueuePair() {
   if (srq_ != nullptr) srq_->remove_waiter(this);
@@ -202,8 +202,8 @@ void QueuePair::match_inbound() {
     inbound_.pop_front();
     if (msg.data.size() > pr.buf.size()) throw VerbsError("recv buffer too small for SEND");
     std::memcpy(pr.buf.data(), msg.data.data(), msg.data.size());
-    recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
-                                 static_cast<std::uint32_t>(msg.data.size()), 0, context_});
+    complete(recv_cq_, WorkCompletion{pr.wr_id, Opcode::kRecv,
+                                      static_cast<std::uint32_t>(msg.data.size()), 0, context_});
   }
 }
 
@@ -225,7 +225,6 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
   co_await host_.compute(p.per_msg_send_cpu);
 
   net::Bytes payload(buf.begin(), buf.end());
-  CompletionQueue* scq = &send_cq_;
   // Size read before the move: argument evaluation order is unspecified.
   const std::size_t wire_bytes = payload.size();
   auto on_arrival = [peer, payload = std::move(payload)]() mutable {
@@ -236,8 +235,8 @@ sim::Co<void> QueuePair::post_send(std::uint64_t wr_id, net::ByteSpan buf) {
                                              net::Transport::kIBVerbs, wire_bytes, send_clock_,
                                              std::move(on_arrival));
   // RC send completion after the ACK returns.
-  fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = buf.size()] {
-    scq->push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
+  fab.sched().call_at(arrival + p.one_way_latency, [scq = send_cq_, wr_id, n = buf.size()] {
+    complete(scq, WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }
@@ -264,16 +263,15 @@ sim::Co<void> QueuePair::post_rdma_write(std::uint64_t wr_id, net::ByteSpan loca
     std::copy_n(payload.get(), n, target.begin());
     if (imm) {
       // WRITE_WITH_IMM surfaces at the peer as a receive-type completion.
-      peer->recv_cq_.push(WorkCompletion{0, Opcode::kRecvRdmaWithImm, n, *imm});
+      complete(peer->recv_cq_, WorkCompletion{0, Opcode::kRecvRdmaWithImm, n, *imm});
     }
   };
   static_assert(sim::Callback::stores_inline<decltype(on_arrival)>);
-  CompletionQueue* scq = &send_cq_;
   const sim::Time arrival = fab.deliver_flow(host_.id(), peer->host_.id(),
                                              net::Transport::kIBVerbs, n, send_clock_,
                                              std::move(on_arrival));
-  fab.sched().call_at(arrival + p.one_way_latency, [scq, wr_id, n = local.size()] {
-    scq->push(WorkCompletion{wr_id, Opcode::kRdmaWrite, static_cast<std::uint32_t>(n), 0});
+  fab.sched().call_at(arrival + p.one_way_latency, [scq = send_cq_, wr_id, n] {
+    complete(scq, WorkCompletion{wr_id, Opcode::kRdmaWrite, n, 0});
   });
   co_return;
 }
@@ -293,10 +291,9 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
       fab.reserve_egress(host_.id(), net::Transport::kIBVerbs, 32) + p.one_way_latency;
   // ...then data flows back, paying wire time on the responder's egress.
   VerbsStack* stack = &stack_;
-  CompletionQueue* scq = &send_cq_;
   cluster::HostId responder = peer->host_.id();
   cluster::HostId requester = host_.id();
-  fab.sched().call_at(req_arrival, [&fab, stack, scq, wr_id, local, src, responder,
+  fab.sched().call_at(req_arrival, [&fab, stack, scq = send_cq_, wr_id, local, src, responder,
                                     requester] {
     // The rkey resolves when the request *arrives* at the responder. A
     // region deregistered while the request was in flight is a remote
@@ -308,15 +305,19 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
     } catch (const VerbsError&) {
       WorkCompletion wc{wr_id, Opcode::kRdmaRead, 0, 0};
       wc.status = 1;
-      scq->push(wc);
+      complete(scq, wc);
       return;
     }
+    auto on_arrival = [scq, wr_id, dst = local.data(), from = source.data(),
+                       n = static_cast<std::uint32_t>(local.size())] {
+      std::shared_ptr<CompletionQueue> q = scq.lock();
+      if (!q) return;  // requester torn down: its buffer may be gone too
+      std::memcpy(dst, from, n);
+      q->push(WorkCompletion{wr_id, Opcode::kRdmaRead, n, 0});
+    };
+    static_assert(sim::Callback::stores_inline<decltype(on_arrival)>);
     fab.deliver(responder, requester, net::Transport::kIBVerbs, local.size(),
-                [scq, wr_id, local, source] {
-                  std::memcpy(local.data(), source.data(), local.size());
-                  scq->push(WorkCompletion{wr_id, Opcode::kRdmaRead,
-                                           static_cast<std::uint32_t>(local.size()), 0});
-                });
+                std::move(on_arrival));
   });
   co_return;
 }
@@ -326,7 +327,7 @@ sim::Co<void> QueuePair::post_rdma_read(std::uint64_t wr_id, net::MutByteSpan lo
 
 UdEndpoint::UdEndpoint(VerbsStack& stack, cluster::Host& host, CompletionQueue& send_cq,
                        CompletionQueue& recv_cq)
-    : stack_(stack), host_(host), send_cq_(send_cq), recv_cq_(recv_cq) {
+    : stack_(stack), host_(host), send_cq_(send_cq.handle()), recv_cq_(recv_cq.handle()) {
   qpn_ = stack_.ud_register(this);
 }
 
@@ -370,9 +371,8 @@ sim::Co<void> UdEndpoint::post_send(std::uint64_t wr_id, const AddressHandle& ah
       });
   // UD send completion once the datagram is on the wire — no ACK, so the
   // completion is identical whether or not the datagram ever arrives.
-  CompletionQueue* scq = &send_cq_;
-  fab.sched().call_at(arrival - p.one_way_latency, [scq, wr_id, n = buf.size()] {
-    scq->push(WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
+  fab.sched().call_at(arrival - p.one_way_latency, [scq = send_cq_, wr_id, n = buf.size()] {
+    complete(scq, WorkCompletion{wr_id, Opcode::kSend, static_cast<std::uint32_t>(n), 0});
   });
   co_return;
 }
@@ -399,9 +399,9 @@ void UdEndpoint::on_datagram_arrival(cluster::HostId src_host, std::uint32_t src
   std::memcpy(pr.buf.data(), &sh, sizeof(sh));
   std::memcpy(pr.buf.data() + 4, &src_qpn, sizeof(src_qpn));
   std::memcpy(pr.buf.data() + kGrhBytes, data.data(), data.size());
-  recv_cq_.push(WorkCompletion{pr.wr_id, Opcode::kRecv,
-                               static_cast<std::uint32_t>(kGrhBytes + data.size()), 0,
-                               context_});
+  complete(recv_cq_, WorkCompletion{pr.wr_id, Opcode::kRecv,
+                                    static_cast<std::uint32_t>(kGrhBytes + data.size()), 0,
+                                    context_});
 }
 
 // ---------------------------------------------------------------------------

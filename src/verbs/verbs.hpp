@@ -114,6 +114,8 @@ class ProtectionDomain {
 class CompletionQueue {
  public:
   explicit CompletionQueue(sim::Scheduler& sched) : q_(sched) {}
+  CompletionQueue(const CompletionQueue&) = delete;
+  CompletionQueue& operator=(const CompletionQueue&) = delete;
 
   /// Blocking poll (suspends in virtual time until a completion arrives).
   sim::Co<WorkCompletion> wait() {
@@ -128,9 +130,20 @@ class CompletionQueue {
   std::size_t depth() const { return q_.size(); }
   void close() { q_.close(); }
 
+  /// Weak reference for completions raised later in virtual time. Work
+  /// posted on a connection can still be in flight when its owner tears
+  /// the connection (QP and CQs) down; such a completion is dropped.
+  std::weak_ptr<CompletionQueue> handle() const { return self_; }
+
  private:
   sim::Channel<WorkCompletion> q_;
+  std::shared_ptr<CompletionQueue> self_{this, [](CompletionQueue*) {}};  // non-owning
 };
+
+/// Push `wc` into `cq` unless that CQ has been destroyed.
+inline void complete(const std::weak_ptr<CompletionQueue>& cq, WorkCompletion wc) {
+  if (std::shared_ptr<CompletionQueue> q = cq.lock()) q->push(std::move(wc));
+}
 
 class QueuePair;
 using QueuePairPtr = std::shared_ptr<QueuePair>;
@@ -238,8 +251,6 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   /// One-sided read from remote registered memory into `local`.
   sim::Co<void> post_rdma_read(std::uint64_t wr_id, net::MutByteSpan local, RemoteBuffer src);
 
-  CompletionQueue& send_cq() const { return send_cq_; }
-  CompletionQueue& recv_cq() const { return recv_cq_; }
   cluster::Host& host() const { return host_; }
   bool connected() const { return !peer_.expired(); }
   cluster::HostId remote_host() const { return remote_host_; }
@@ -268,8 +279,9 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
 
   VerbsStack& stack_;
   cluster::Host& host_;
-  CompletionQueue& send_cq_;
-  CompletionQueue& recv_cq_;
+  // Weak: an arrival in flight keeps this QP alive past its CQs' owner.
+  std::weak_ptr<CompletionQueue> send_cq_;
+  std::weak_ptr<CompletionQueue> recv_cq_;
   std::weak_ptr<QueuePair> peer_;
   cluster::HostId remote_host_ = -1;
   std::deque<PostedRecv> posted_recvs_;
@@ -343,8 +355,8 @@ class UdEndpoint {
 
   VerbsStack& stack_;
   cluster::Host& host_;
-  CompletionQueue& send_cq_;
-  CompletionQueue& recv_cq_;
+  std::weak_ptr<CompletionQueue> send_cq_;
+  std::weak_ptr<CompletionQueue> recv_cq_;
   std::uint32_t qpn_ = 0;
   std::uint64_t context_ = 0;
   std::deque<PostedRecv> ring_;

@@ -1,14 +1,17 @@
 // Unit tests for the discrete-event core: virtual time, task spawning,
 // joining, channels, sync primitives, determinism.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "net/bytes.hpp"
 #include "sim/channel.hpp"
 #include "sim/frame_pool.hpp"
 #include "sim/random.hpp"
@@ -573,6 +576,37 @@ TEST(FramePool, FreedFrameIsReusedByNextFrameOfItsClass) {
     // quarantine, so a use after free would be reported.
     EXPECT_NE(first, second);
   }
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// The rendezvous path's payload pattern: `count` jittered 20 KB-2 MB
+// vectors, each zero-filled (so every page is touched), four live at once.
+void churn_payloads(Rng& rng, int count) {
+  std::array<net::Bytes, 4> live;
+  for (int i = 0; i < count; ++i) {
+    const auto n = static_cast<std::size_t>(rng.next_range(20 << 10, 2 << 20));
+    live[static_cast<std::size_t>(i) % live.size()] = net::Bytes(n);
+  }
+}
+
+TEST(HeapPolicy, PayloadVectorsStopFaultingOnceWarm) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the heap policy is glibc's";
+#endif
+  if (kAsanBuild) GTEST_SKIP() << "ASan's allocator replaces malloc";
+  Scheduler s;  // pins the policy
+  Rng rng(7);
+  churn_payloads(rng, 2000);
+  const long before = minor_faults();
+  churn_payloads(rng, 2000);
+  // Left dynamic, glibc maps or trims fresh memory for these sizes and
+  // the second pass takes about 100 K faults.
+  EXPECT_LT(minor_faults() - before, 100);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "net/testbed.hpp"
@@ -163,6 +164,62 @@ TEST(QueuePair, RdmaWritePlacesBytesAndRaisesImm) {
 
 Task do_read(QueuePairPtr qp, net::MutByteSpan local, RemoteBuffer src) {
   co_await qp->post_rdma_read(6, local, src);
+}
+
+// Regression: a stream writer that gives up at its chunk deadline tears
+// its connection (QP and CQs) down while a posted WRITE is still
+// unacknowledged. The send completion, due one ACK later, must be dropped
+// instead of landing in the destroyed CQ.
+TEST(QueuePair, WriteCompletionForDestroyedCqIsDropped) {
+  Scheduler s;
+  VerbsFixture f(s);
+  auto p = std::make_unique<ConnectedPair>(s, f);
+
+  ProtectionDomain server_pd(f.stack, f.tb.host(1));
+  Bytes target(256, Byte{0});
+  MemoryRegion mr = server_pd.register_mr_untimed(target);
+  Bytes payload(200, Byte{9});
+  s.spawn(do_write(p->client_qp, payload, RemoteBuffer{mr.rkey, 0, 256}, 0xBEEF));
+  // Run until the WRITE has landed at the peer; its ACK is still in flight.
+  while (p->server_rcq.depth() == 0 && s.step()) {
+  }
+  ASSERT_EQ(p->server_rcq.depth(), 1u);
+  ASSERT_EQ(p->client_scq.depth(), 0u);
+  EXPECT_EQ(0, memcmp(target.data(), payload.data(), payload.size()));
+
+  p.reset();
+  ASSERT_FALSE(s.idle());  // the pending completion
+  s.run();
+  EXPECT_TRUE(s.idle());
+}
+
+// The same for every other deferred completion: a SEND arriving at, and a
+// READ returning to, a connection whose CQs are gone.
+TEST(QueuePair, InFlightSendAndReadOutlivingTheirCqsAreDropped) {
+  Scheduler s;
+  VerbsFixture f(s);
+  auto p = std::make_unique<ConnectedPair>(s, f);
+
+  ProtectionDomain server_pd(f.stack, f.tb.host(1));
+  Bytes remote(128, Byte{5});
+  MemoryRegion mr = server_pd.register_mr_untimed(remote);
+  Bytes rbuf(64);
+  p->server_qp->post_recv(1, rbuf);
+  Bytes local(128, Byte{0});
+  Bytes msg(32, Byte{7});
+  s.spawn(do_send(p->client_qp, msg));
+  s.spawn(do_read(p->client_qp, local, RemoteBuffer{mr.rkey, 0, 128}));
+  // Run until both WQEs are posted; neither has arrived yet.
+  while (s.live_task_count() > 0 && s.step()) {
+  }
+  ASSERT_EQ(p->server_rcq.depth(), 0u);
+  ASSERT_EQ(p->client_scq.depth(), 0u);
+
+  p.reset();
+  s.run();
+  EXPECT_TRUE(s.idle());
+  // The torn-down requester's buffer is left untouched.
+  EXPECT_EQ(local, Bytes(128, Byte{0}));
 }
 
 TEST(QueuePair, RdmaReadFetchesRemoteBytes) {
