@@ -21,13 +21,18 @@
 // identical to the unbatched build.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "net/bytes.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
+#include "trace/context.hpp"
 
 namespace rpcoib::rpc {
 
@@ -89,55 +94,110 @@ class LingerEstimator {
   double ewma_gap_ns_ = 0;  // EWMA of inter-arrival gaps, nanoseconds
 };
 
-/// Per-connection accumulator for sub-threshold messages, shared by both
-/// transports. Holds the buffered payloads, decides when the limits force
-/// a flush, and runs the adaptive-linger estimator. The owner is
-/// responsible for the actual wire format and for arming flush timers;
+/// Why the coalescer flushed a batch; the client sinks count each reason
+/// in RpcStats.
+enum class FlushReason : std::uint8_t {
+  kFull,       // a size/count limit filled, or the next message would overflow it
+  kLinger,     // the armed linger expired
+  kImmediate,  // sparse arrivals: the zero linger flushed on the next tick
+};
+
+/// Per-site limits of the coalescing policy, passed in by each caller
+/// (DESIGN.md §9 lists which site passes what).
+struct CoalesceLimits {
+  /// Byte clamp on one frame: a message that would cross it flushes the
+  /// open batch first, and a batch that reaches it flushes at once. The
+  /// RDMA sites clamp to a receive buffer or datagram; the socket has none.
+  std::size_t frame_bytes = std::numeric_limits<std::size_t>::max();
+  /// Cap on the adaptive linger (the RDMA server's responses: linger / 4).
+  sim::Dur linger_cap = std::numeric_limits<sim::Dur>::max();
+};
+
+/// The buffered messages of one flush.
+struct Batch {
+  std::vector<net::Bytes> items;
+  std::size_t bytes = 0;    // sum of the items' sizes
+  trace::TraceContext ctx;  // first traced message's context (parents batch.flush)
+};
+
+/// Per-connection coalescer for sub-threshold messages, shared by every
+/// batching site (socket, RC and UD clients, RDMA server responses). It
+/// owns the whole policy — when to pre-flush on overflow, when a full
+/// batch flushes, when to arm the adaptive-linger timer and when that
+/// timer stands down — and leaves the site a small sink: a copyable value
+/// that owns what a deferred flush touches (a shared connection, a UD
+/// state, a liveness token) and provides
+///
+///   CallBatcher* batcher();
+///       the batch if the site is still open, nullptr once it is gone
+///       (checked by the linger timer after its wait);
+///   void appended();
+///       one message joined the batch;
+///   sim::Co<bool> flush(CallBatcher& b, FlushReason why);
+///       take() the batch from `b`, encode it and put it on the wire;
+///       returns false once the site takes no more messages.
+///
 /// `epoch` invalidates timers armed for batches that already flushed.
 class CallBatcher {
  public:
-  explicit CallBatcher(const BatchConfig& cfg) : cfg_(cfg) {}
+  CallBatcher(sim::Scheduler& sched, const BatchConfig& cfg) : sched_(sched), cfg_(cfg) {}
 
-  /// Buffer one serialized message. `now` feeds the inter-arrival EWMA.
-  void append(net::Bytes payload, sim::Time now) {
-    gaps_.note(now);
-    bytes_ += payload.size();
-    items_.push_back(std::move(payload));
+  /// Coalesce one serialized message (`ctx`: its trace context) through
+  /// `sink`. A message that would overflow `limits.frame_bytes` flushes
+  /// the open batch first; a batch that reaches a limit flushes at once;
+  /// the message that opens a batch arms its linger timer.
+  template <typename Sink>
+  sim::Co<void> add(Sink sink, net::Bytes msg, trace::TraceContext ctx,
+                    CoalesceLimits limits) {
+    if (!items_.empty() && bytes_ + msg.size() > limits.frame_bytes) {
+      const bool open = co_await sink.flush(*this, FlushReason::kFull);
+      if (!open) co_return;  // the site closed (and may have freed *this)
+    }
+    const bool opened = items_.empty();
+    if (opened && ctx.valid()) ctx_ = ctx;
+    gaps_.note(sched_.now());
+    bytes_ += msg.size();
+    items_.push_back(std::move(msg));
+    sink.appended();
+    if (items_.size() >= cfg_.max_calls || bytes_ >= cfg_.max_bytes ||
+        bytes_ >= limits.frame_bytes) {
+      co_await sink.flush(*this, FlushReason::kFull);
+    } else if (opened) {
+      const sim::Dur linger = std::min(gaps_.linger(cfg_.linger), limits.linger_cap);
+      sched_.spawn(linger_timer(sched_, std::move(sink), epoch_, linger));
+    }
   }
-
-  /// True once a size/count limit forces an immediate flush.
-  bool full() const {
-    return items_.size() >= cfg_.max_calls || bytes_ >= cfg_.max_bytes;
-  }
-
-  /// Would appending `msg_bytes` more blow `limit_bytes`? (RDMA eager
-  /// frames must fit the peer's pre-posted receive buffer.)
-  bool would_overflow(std::size_t msg_bytes, std::size_t limit_bytes) const {
-    return !items_.empty() && bytes_ + msg_bytes > limit_bytes;
-  }
-
-  /// Linger for the batch just opened: zero under sparse arrivals (the
-  /// EWMA gap says no company is coming), the configured linger otherwise.
-  sim::Dur adaptive_linger() const { return gaps_.linger(cfg_.linger); }
 
   /// Take the buffered messages for flushing and open a new epoch (stale
-  /// flush timers compare their saved epoch and stand down).
-  std::vector<net::Bytes> take() {
+  /// linger timers compare their saved epoch and stand down).
+  Batch take() {
     ++epoch_;
-    bytes_ = 0;
-    return std::exchange(items_, {});
+    return Batch{std::exchange(items_, {}), std::exchange(bytes_, 0),
+                 std::exchange(ctx_, {})};
   }
 
   bool empty() const { return items_.empty(); }
-  std::size_t count() const { return items_.size(); }
-  std::size_t bytes() const { return bytes_; }
   std::uint64_t epoch() const { return epoch_; }
-  const BatchConfig& config() const { return cfg_; }
 
  private:
+  /// Delayed flush armed per batch. A zero linger still suspends one
+  /// scheduler tick, so same-timestamp arrivals share the flush while a
+  /// lone message goes out "now". Static: the batcher may be gone by the
+  /// time the linger expires; only the sink knows.
+  template <typename Sink>
+  static sim::Task linger_timer(sim::Scheduler& sched, Sink sink, std::uint64_t epoch,
+                                sim::Dur linger) {
+    co_await sim::delay(sched, linger);
+    CallBatcher* b = sink.batcher();
+    if (b == nullptr || b->empty() || b->epoch() != epoch) co_return;  // gone, or flushed
+    co_await sink.flush(*b, linger > 0 ? FlushReason::kLinger : FlushReason::kImmediate);
+  }
+
+  sim::Scheduler& sched_;
   BatchConfig cfg_;
   std::vector<net::Bytes> items_;
   std::size_t bytes_ = 0;
+  trace::TraceContext ctx_;
   std::uint64_t epoch_ = 0;
   LingerEstimator gaps_;
 };

@@ -71,6 +71,26 @@ inline CallHead read_call_head(DataInput& in) {
   return h;
 }
 
+/// Write a call header to `out` — the mirror of read_call_head: the id
+/// with its trace/deadline/retry flags, the two context words when `ctx`
+/// is valid, the deadline when non-zero, then protocol and method. A call
+/// with none of the three keeps the seed wire format byte for byte.
+inline void write_call_head(DataOutput& out, std::uint64_t id, const trace::TraceContext& ctx,
+                            sim::Time deadline, bool retried, const MethodKey& key) {
+  std::uint64_t wire_id = id;
+  if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
+  if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
+  if (retried) wire_id |= trace::kWireRetryFlag;
+  out.write_u64(wire_id);
+  if (ctx.valid()) {
+    out.write_u64(ctx.trace_id);
+    out.write_u64(ctx.span_id);
+  }
+  if (deadline != 0) out.write_u64(deadline);
+  out.write_text(key.protocol);
+  out.write_text(key.method);
+}
+
 /// One shard's call queue with its admission gate, retry cache and stats
 /// block.
 template <typename Call>

@@ -142,4 +142,46 @@ sim::Co<void> RpcClient::call(net::Address addr, const MethodKey& key, const Wri
   }
 }
 
+void RpcClient::note_reconnect(ReconnectCause cause) {
+  if (!session_.enabled) return;
+  switch (cause) {
+    case ReconnectCause::kPeerClosed: ++stats_.reconnects_peer_closed; break;
+    case ReconnectCause::kQpError: ++stats_.reconnects_qp_error; break;
+    case ReconnectCause::kIdleEvicted: ++stats_.reconnects_idle_evicted; break;
+    case ReconnectCause::kFaultInjected: ++stats_.reconnects_fault_injected; break;
+  }
+  cluster::Host& h = host();
+  if (trace::TraceCollector* tr = trace::active(h.tracer()); tr != nullptr) {
+    const sim::Time now = h.sched().now();
+    tr->add_complete(std::string("reconnect.") + reconnect_cause_name(cause),
+                     trace::Kind::kClient, trace::Category::kSession, {}, h.id(), now, now);
+  }
+}
+
+MethodProfile& RpcClient::note_sent(const MethodKey& key, std::uint64_t mem_adjustments,
+                                   std::size_t msg_len, sim::Time t_start,
+                                   sim::Time t_serialized, sim::Time t_sent) {
+  MethodProfile& prof = stats_.method(key);
+  prof.mem_adjustments.add(static_cast<double>(mem_adjustments));
+  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
+  prof.send_us.add(sim::to_us(t_sent - t_serialized));
+  prof.msg_bytes.add(static_cast<double>(msg_len));
+  stats_.record_size(prof, static_cast<std::uint32_t>(msg_len));
+  ++stats_.calls_sent;
+  return prof;
+}
+
+RpcTimeoutError RpcClient::attempt_timeout() const {
+  return RpcTimeoutError("call timed out after " + std::to_string(sim::to_ms(retry_.call_timeout)) +
+                         " ms");
+}
+
+void RpcClient::note_batch_flush(FlushReason why) {
+  switch (why) {
+    case FlushReason::kFull: ++stats_.batch_flush_full; break;
+    case FlushReason::kLinger: ++stats_.batch_flush_linger; break;
+    case FlushReason::kImmediate: ++stats_.batch_flush_immediate; break;
+  }
+}
+
 }  // namespace rpcoib::rpc

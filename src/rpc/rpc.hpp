@@ -6,8 +6,10 @@
 // experiments can flip transports without touching the components.
 #pragma once
 
+#include <coroutine>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "cluster/host.hpp"
@@ -19,6 +21,7 @@
 #include "rpc/session.hpp"
 #include "rpc/stats.hpp"
 #include "rpc/writable.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 
 namespace rpcoib::rpc {
@@ -106,6 +109,41 @@ class RpcClient {
     if (session_id_ == 0) session_id_ = h.rng().next_u64() | (1ULL << 63);
     return session_id_;
   }
+
+  /// Count one connection torn down by `cause` and emit its kSession
+  /// trace span. No-op with sessions off: the knob gates every reconnect
+  /// row, so seeded sessionless runs keep their reports byte-identical.
+  void note_reconnect(ReconnectCause cause);
+
+  /// Count one coalescer flush under its reason (the client batch sinks).
+  void note_batch_flush(FlushReason why);
+
+  /// Record one sent call in its method profile (the Table I / Fig. 3
+  /// feeds) and return the profile, whose total_us the call adds on success.
+  MethodProfile& note_sent(const MethodKey& key, std::uint64_t mem_adjustments,
+                           std::size_t msg_len, sim::Time t_start, sim::Time t_serialized,
+                           sim::Time t_sent);
+
+  /// Awaits a call's reply under the retry policy's per-attempt timeout
+  /// and resumes with false when the timeout expired first (see
+  /// attempt_timeout). A plain awaiter: the call path pays no extra
+  /// coroutine frame for it.
+  struct ReplyWait {
+    sim::SimEvent& done;
+    sim::Dur timeout;
+    std::optional<sim::SimEvent::TimedWaitAwaiter> timed;
+    bool await_ready() const noexcept { return done.is_set(); }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (timeout == 0) return done.wait().await_suspend(h);
+      timed.emplace(done, timeout);
+      timed->await_suspend(h);
+    }
+    bool await_resume() const noexcept { return done.is_set(); }
+  };
+  ReplyWait await_reply(sim::SimEvent& done) const {
+    return ReplyWait{done, retry_.call_timeout, std::nullopt};
+  }
+  RpcTimeoutError attempt_timeout() const;
 
   RpcStats stats_;
   RpcRetryPolicy retry_;

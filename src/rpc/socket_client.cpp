@@ -6,6 +6,7 @@
 
 #include "net/fault.hpp"
 #include "rpc/buffers.hpp"
+#include "rpc/pipeline.hpp"
 #include "trace/trace.hpp"
 
 namespace rpcoib::rpc {
@@ -41,7 +42,6 @@ void SocketRpcClient::close_connections() {
 
 void SocketRpcClient::fail_all(Connection& conn, const std::string& why) {
   conn.broken = true;
-  conn.recovery = Recovery::kTornDown;
   for (auto& [id, pc] : conn.pending) {
     pc->error = true;
     pc->error_msg = why;
@@ -95,28 +95,8 @@ sim::Co<SocketRpcClient::ConnectionPtr> SocketRpcClient::get_connection(net::Add
   }
   raw->receiver = host_.sched().spawn(receive_loop(raw));
   raw->ready.set();
-  raw->recovery = Recovery::kHealthy;
   ++stats_.connections_opened;
   co_return raw;
-}
-
-void SocketRpcClient::note_reconnect(ReconnectCause cause) {
-  // Reconnect accounting rides the session knob: with sessions off the
-  // counters stay zero, the report grows no rows, and seeded sessionless
-  // runs stay byte-identical to a build without the session layer.
-  if (!session_.enabled) return;
-  switch (cause) {
-    case ReconnectCause::kPeerClosed: ++stats_.reconnects_peer_closed; break;
-    case ReconnectCause::kQpError: ++stats_.reconnects_qp_error; break;
-    case ReconnectCause::kIdleEvicted: ++stats_.reconnects_idle_evicted; break;
-    case ReconnectCause::kFaultInjected: ++stats_.reconnects_fault_injected; break;
-  }
-  if (trace::TraceCollector* tr = trace::active(host_.tracer()); tr != nullptr) {
-    const sim::Time now = host_.sched().now();
-    tr->add_complete(std::string("reconnect.") + reconnect_cause_name(cause),
-                     trace::Kind::kClient, trace::Category::kSession, {}, host_.id(),
-                     now, now);
-  }
 }
 
 void SocketRpcClient::kill_connection(const ConnectionPtr& conn, net::Address addr) {
@@ -212,59 +192,23 @@ sim::Task SocketRpcClient::receive_loop(ConnectionPtr conn) {
   }
 }
 
-sim::Co<void> SocketRpcClient::append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                               const trace::TraceContext& ctx) {
-  CallBatcher& b = conn->batcher;
-  const bool was_empty = b.empty();
-  if (was_empty && ctx.valid()) conn->batch_ctx = ctx;
-  b.append(std::move(payload), host_.sched().now());
-  ++stats_.batched_calls;
-  if (b.full()) {
-    ++stats_.batch_flush_full;
-    co_await flush_batch(conn);
-  } else if (was_empty) {
-    host_.sched().spawn(batch_timer(conn, b.epoch(), b.adaptive_linger()));
-  }
-}
-
-sim::Task SocketRpcClient::batch_timer(ConnectionPtr conn, std::uint64_t epoch,
-                                       sim::Dur linger) {
-  // A zero linger still suspends one scheduler tick, so same-timestamp
-  // arrivals coalesce while a lone caller's flush happens "now".
-  sim::Scheduler& sched = host_.sched();
-  co_await sim::delay(sched, linger);
-  if (conn->cancelled || conn->broken) co_return;
-  const CallBatcher& b = conn->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  if (linger > 0) {
-    ++stats_.batch_flush_linger;
-  } else {
-    ++stats_.batch_flush_immediate;
-  }
-  co_await flush_batch(conn);
-}
-
-sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn) {
-  CallBatcher& b = conn->batcher;
-  if (b.empty()) co_return;
+sim::Co<bool> SocketRpcClient::BatchSink::flush(CallBatcher& b, FlushReason why) {
+  client->note_batch_flush(why);
   // Hoisted for the same reason as receive_loop: the send mutex wait
   // below may outlive the client.
-  cluster::Host& host = host_;
+  cluster::Host& host = client->host_;
   const cluster::CostModel& cm = host.cost();
   trace::TraceCollector* tr = trace::active(host.tracer());
-  const trace::TraceContext ctx = std::exchange(conn->batch_ctx, {});
   const sim::Time t0 = host.sched().now();
 
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
+  const Batch batch = b.take();
   // [u32 total][u64 kWireBatchFlag|count][u32 len_i x count][payload_i...]
   BufferedOutputStream out(cm);
-  const std::size_t total = 8 + 4 * items.size() + payload_bytes;
+  const std::size_t total = 8 + 4 * batch.items.size() + batch.bytes;
   out.write_u32(static_cast<std::uint32_t>(total));
-  out.write_u64(trace::kWireBatchFlag | static_cast<std::uint64_t>(items.size()));
-  for (const net::Bytes& m : items) out.write_u32(static_cast<std::uint32_t>(m.size()));
-  for (const net::Bytes& m : items) out.write_payload(net::ByteSpan(m));
+  out.write_u64(trace::kWireBatchFlag | static_cast<std::uint64_t>(batch.items.size()));
+  for (const net::Bytes& m : batch.items) out.write_u32(static_cast<std::uint32_t>(m.size()));
+  for (const net::Bytes& m : batch.items) out.write_payload(net::ByteSpan(m));
   out.flush();
   const sim::Dur encode_cost = out.take_accrued();
   net::Bytes wire = out.take_pending();
@@ -273,21 +217,22 @@ sim::Co<void> SocketRpcClient::flush_batch(ConnectionPtr conn) {
   sim::SimLockGuard guard(conn->send_mu);
   // Client gone or connection failed while we waited: the batched calls'
   // pending entries were already completed with errors by fail_all.
-  if (conn->cancelled || conn->broken) co_return;
+  if (conn->cancelled || conn->broken) co_return false;
   co_await host.compute(encode_cost);
-  if (conn->cancelled || conn->broken) co_return;
+  if (conn->cancelled || conn->broken) co_return false;
   try {
     co_await conn->sock->write(wire);
   } catch (const net::SocketError& e) {
     if (!conn->cancelled) fail_all(*conn, e.what());
-    co_return;
+    co_return false;
   }
-  if (conn->cancelled) co_return;
-  ++stats_.batches_sent;
-  if (tr != nullptr && ctx.valid()) {
-    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx,
+  if (conn->cancelled) co_return false;
+  ++client->stats_.batches_sent;
+  if (tr != nullptr && batch.ctx.valid()) {
+    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, batch.ctx,
                      host.id(), t0, host.sched().now());
   }
+  co_return !conn->broken;
 }
 
 sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& key,
@@ -317,23 +262,10 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   // so the default wire format is byte-identical to the seed.
   const sim::Time deadline =
       retry_.call_timeout > 0 ? host_.sched().now() + retry_.call_timeout : 0;
-  std::uint64_t wire_id = id;
-  if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
-  if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
   // Retried attempts are marked only under the session layer: the server
   // uses the flag to bounce a retry whose session lease expired instead
   // of silently re-executing it. Sessionless wire stays byte-identical.
-  if (retried && session_.enabled) wire_id |= trace::kWireRetryFlag;
-  d.write_u64(wire_id);
-  if (ctx.valid()) {
-    // Flagged id announces two extra context words; untraced calls keep
-    // the seed wire format byte-for-byte.
-    d.write_u64(ctx.trace_id);
-    d.write_u64(ctx.span_id);
-  }
-  if (deadline != 0) d.write_u64(deadline);
-  d.write_text(key.protocol);
-  d.write_text(key.method);
+  write_call_head(d, id, ctx, deadline, retried && session_.enabled, key);
   param.write(d);
   co_await host_.compute(d.take_accrued());
   const sim::Time t_serialized = host_.sched().now();
@@ -363,11 +295,13 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
   } else {
     // Coalescing path: buffer the payload (one heap copy) and let the
     // batcher decide when the connection's next multi-call frame goes out.
+    // No frame clamp: the socket batch flushes on max_bytes/max_calls only.
     if (conn->broken) throw RpcTransportError("connection broken");
     conn->pending[id] = &pc;
     net::Bytes payload(d.data().begin(), d.data().end());
     co_await host_.compute(cm.heap_copy(d.length()));
-    co_await append_to_batch(conn, std::move(payload), ctx);
+    BatchSink sink{this, conn};
+    co_await conn->batcher.add(sink, std::move(payload), ctx, CoalesceLimits{});
   }
   const sim::Time t_sent = host_.sched().now();
   if (ctx.valid()) {
@@ -384,26 +318,14 @@ sim::Co<void> SocketRpcClient::call_attempt(net::Address addr, const MethodKey& 
     kill_connection(conn, addr);
   }
 
-  // --- Profiling (Table I / Fig. 3 feeds) ------------------------------
-  MethodProfile& prof = stats_.method(key);
-  prof.mem_adjustments.add(static_cast<double>(d.stats().mem_adjustments));
-  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
-  prof.send_us.add(sim::to_us(t_sent - t_serialized));
-  prof.msg_bytes.add(static_cast<double>(d.length()));
-  stats_.record_size(prof, static_cast<std::uint32_t>(d.length()));
-  ++stats_.calls_sent;
-
-  if (const sim::Dur deadline = retry_.call_timeout; deadline > 0) {
-    const bool completed = co_await pc.done.wait_for(deadline);
-    if (!completed) {
-      // Unregister so a late reply is dropped by the receive loop instead
-      // of touching this (about to be destroyed) PendingCall.
-      conn->pending.erase(id);
-      throw RpcTimeoutError("call timed out after " +
-                            std::to_string(sim::to_ms(deadline)) + " ms");
-    }
-  } else {
-    co_await pc.done.wait();
+  MethodProfile& prof = note_sent(key, d.stats().mem_adjustments, d.length(), t_start,
+                                  t_serialized, t_sent);
+  const bool replied = co_await await_reply(pc.done);
+  if (!replied) {
+    // Unregister so a late reply is dropped by the receive loop instead
+    // of touching this (about to be destroyed) PendingCall.
+    conn->pending.erase(id);
+    throw attempt_timeout();
   }
   if (pc.error) {
     conn->pending.erase(id);

@@ -53,33 +53,22 @@ class SocketRpcClient final : public RpcClient {
     std::string error_msg;
   };
 
-  /// Reconnect recovery state machine (unified with the RDMA client; see
-  /// DESIGN.md §13). A connection is kConnecting while the handshake runs,
-  /// kHealthy once ready, and kTornDown after a failure is detected (EOF
-  /// from the peer, a send into a closed socket, or an injected kill) and
-  /// every pending call was failed over to the retry loop. Re-bootstrap is
-  /// the next get_connection(): it drops the kTornDown corpse and dials a
-  /// fresh connection carrying the same durable session id, and the retry
-  /// loop replays the failed in-flight calls under RpcRetryPolicy — the
-  /// session-keyed server retry cache makes that replay exactly-once.
-  enum class Recovery : std::uint8_t { kConnecting, kHealthy, kTornDown };
-
   struct Connection {
     Connection(sim::Scheduler& s, const BatchConfig& batch)
-        : send_mu(s), ready(s), batcher(batch) {}
+        : send_mu(s), ready(s), batcher(s, batch) {}
     net::SocketPtr sock;
     sim::SimMutex send_mu;
     sim::SimEvent ready;  // set once the socket handshake completed
+    // Set by the teardown (EOF, failed write, injected kill) that failed
+    // every pending call over to the retry loop; the next
+    // get_connection() dials a fresh connection (DESIGN.md §13).
     bool broken = false;
     // Set by close_connections() before the sockets close: the receive
     // loop and flush timers check it after every resumption instead of
     // touching the (possibly destroyed) client.
     bool cancelled = false;
-    Recovery recovery = Recovery::kConnecting;
     std::map<std::uint64_t, PendingCall*> pending;
     CallBatcher batcher;
-    // First traced call of the open batch; parents the batch.flush span.
-    trace::TraceContext batch_ctx;
     sim::JoinHandle receiver;
   };
 
@@ -94,18 +83,16 @@ class SocketRpcClient final : public RpcClient {
   /// Static: runs off `host`/`conn` only, never the (possibly dead) client.
   static sim::Co<void> deliver_one(cluster::Host& host, Connection& conn,
                                    net::ByteSpan payload);
-  /// Buffer one serialized call payload; flushes inline when a limit
-  /// fills, otherwise arms the adaptive-linger timer on first append.
-  sim::Co<void> append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                const trace::TraceContext& ctx);
-  /// Encode and send everything currently buffered as one batch frame.
-  sim::Co<void> flush_batch(ConnectionPtr conn);
-  /// Delayed flush armed per batch; stands down if `epoch` already flushed.
-  sim::Task batch_timer(ConnectionPtr conn, std::uint64_t epoch, sim::Dur linger);
+  /// Coalescer sink of one connection (CallBatcher::add): writes the
+  /// batch frame under the send mutex.
+  struct BatchSink {
+    SocketRpcClient* client;
+    ConnectionPtr conn;
+    CallBatcher* batcher() { return conn->cancelled || conn->broken ? nullptr : &conn->batcher; }
+    void appended() { ++client->stats_.batched_calls; }
+    sim::Co<bool> flush(CallBatcher& b, FlushReason why);
+  };
   static void fail_all(Connection& conn, const std::string& why);
-  /// Count one recovery-FSM activation (failure detected, connection torn
-  /// down) and emit its kSession trace span.
-  void note_reconnect(ReconnectCause cause);
   /// Forced mid-call teardown: the FaultPlan connection-kill hook.
   void kill_connection(const ConnectionPtr& conn, net::Address addr);
 

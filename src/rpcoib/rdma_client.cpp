@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "net/fault.hpp"
+#include "rpc/pipeline.hpp"
 #include "rpcoib/onesided.hpp"
 #include "trace/trace.hpp"
 
@@ -15,42 +16,6 @@ namespace {
 /// wr_id carries the pooled buffer pointer (0 = no buffer attached).
 std::uint64_t wr_of(NativeBuffer* b) { return reinterpret_cast<std::uint64_t>(b); }
 NativeBuffer* buf_of(std::uint64_t wr) { return reinterpret_cast<NativeBuffer*>(wr); }
-
-/// Fixed-layout control frame, trivially destructible (safe as a co_await
-/// temporary) and copied by post_send at post time.
-struct ControlFrame {
-  net::Byte bytes[17];
-  std::size_t len = 0;
-
-  static ControlFrame make(FrameType t, std::uint32_t rkey, std::uint64_t off,
-                           std::uint32_t payload_len) {
-    ControlFrame f;
-    f.bytes[0] = static_cast<net::Byte>(t);
-    std::memcpy(f.bytes + 1, &rkey, 4);
-    std::memcpy(f.bytes + 5, &off, 8);
-    std::memcpy(f.bytes + 13, &payload_len, 4);
-    f.len = 17;
-    return f;
-  }
-  static ControlFrame ack(std::uint32_t rkey) {
-    ControlFrame f;
-    f.bytes[0] = static_cast<net::Byte>(FrameType::kAck);
-    std::memcpy(f.bytes + 1, &rkey, 4);
-    f.len = 5;
-    return f;
-  }
-  net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
-};
-
-void parse_control(net::ByteSpan frame, std::uint32_t& rkey, std::uint64_t& off,
-                   std::uint32_t& len) {
-  std::memcpy(&rkey, frame.data() + 1, 4);
-  std::memcpy(&off, frame.data() + 5, 8);
-  std::memcpy(&len, frame.data() + 13, 4);
-}
-
-/// kUdCall wrapper: [u8 type][u64 session] before the inner frame.
-inline constexpr std::size_t kUdHeaderBytes = 9;
 
 }  // namespace
 
@@ -83,14 +48,7 @@ void RdmaRpcClient::close_connections() {
     // Cancel before tearing anything down: loops suspended mid-completion
     // resume later and must bail instead of touching the dead client/pool.
     conn->cancelled = true;
-    if (conn->qp) {
-      // Pre-posted receive slots still hold pooled buffers; reclaim them
-      // before the QP goes away or the pool leaks a slot per recv.
-      for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-        if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-      }
-      conn->qp->disconnect();
-    }
+    release_qp(*conn);
     conn->cq.close();
     fail_all(*conn, "client shutdown");
   }
@@ -105,12 +63,7 @@ void RdmaRpcClient::close_connections() {
       }
     }
     ud_->cq.close();
-    for (auto& [id, pc] : ud_->pending) {
-      pc->transport_error = true;
-      pc->error_msg = "client shutdown";
-      pc->done.set();
-    }
-    ud_->pending.clear();
+    fail_pending(ud_->pending, "client shutdown");
     ud_.reset();
   }
   ud_dests_.clear();
@@ -127,8 +80,12 @@ void RdmaRpcClient::release_rendezvous(PendingCall& pc) {
 
 void RdmaRpcClient::fail_all(Connection& conn, const std::string& why) {
   conn.broken = true;
-  conn.recovery = Recovery::kTornDown;
-  for (auto& [id, pc] : conn.pending) {
+  fail_pending(conn.pending, why);
+}
+
+void RdmaRpcClient::fail_pending(std::map<std::uint64_t, PendingCall*>& pending,
+                                 const std::string& why) {
+  for (auto& [id, pc] : pending) {
     // Return in-flight rendezvous sources to the pool before waking the
     // caller: a drained scheduler may never resume the call coroutine, so
     // the release cannot be left to it.
@@ -137,7 +94,7 @@ void RdmaRpcClient::fail_all(Connection& conn, const std::string& why) {
     pc->error_msg = why;
     pc->done.set();
   }
-  conn.pending.clear();
+  pending.clear();
 }
 
 sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address addr) {
@@ -157,9 +114,7 @@ sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address
       // receive loop exits, fail anything still parked on the connection,
       // and fall through to bootstrap a fresh one transparently.
       conn->cancelled = true;
-      for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-        if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-      }
+      release_qp(*conn);
       conn->cq.close();
       fail_all(*conn, "QP closed by peer");
       note_reconnect(rpc::ReconnectCause::kIdleEvicted);
@@ -209,58 +164,34 @@ sim::Co<RdmaRpcClient::ConnectionPtr> RdmaRpcClient::get_connection(net::Address
       NativeBuffer* rb = native_.acquire(ring_buf);
       raw->qp->post_recv(wr_of(rb), rb->span);
     }
-  } catch (const verbs::VerbsError& e) {
-    // A verbs-level bootstrap failure (exchange went wrong, not a dead
-    // server): surface it unchanged so call_attempt can fall back to
-    // socket mode.
-    raw->ready.set();
-    fail_all(*raw, e.what());
-    auto it = connections_.find(addr);
-    if (it != connections_.end() && it->second == raw) connections_.erase(it);
-    throw;
   } catch (const std::exception& e) {
     raw->ready.set();
     fail_all(*raw, e.what());
     auto it = connections_.find(addr);
     if (it != connections_.end() && it->second == raw) connections_.erase(it);
+    // A verbs-level bootstrap failure (exchange went wrong, not a dead
+    // server) surfaces unchanged so call_attempt can fall back to socket
+    // mode.
+    if (dynamic_cast<const verbs::VerbsError*>(&e) != nullptr) throw;
     throw rpc::RpcTransportError(e.what());
   }
   host_.sched().spawn(receive_loop(raw));
-  raw->recovery = Recovery::kHealthy;
   raw->ready.set();
   ++stats_.connections_opened;
   co_return raw;
 }
 
-void RdmaRpcClient::note_reconnect(rpc::ReconnectCause cause) {
-  // Reconnect accounting rides the session knob: with sessions off the
-  // counters stay zero, the report grows no rows, and seeded sessionless
-  // runs stay byte-identical to a build without the session layer.
-  if (!session_.enabled) return;
-  switch (cause) {
-    case rpc::ReconnectCause::kPeerClosed: ++stats_.reconnects_peer_closed; break;
-    case rpc::ReconnectCause::kQpError: ++stats_.reconnects_qp_error; break;
-    case rpc::ReconnectCause::kIdleEvicted: ++stats_.reconnects_idle_evicted; break;
-    case rpc::ReconnectCause::kFaultInjected: ++stats_.reconnects_fault_injected; break;
+void RdmaRpcClient::release_qp(Connection& conn) {
+  if (!conn.qp) return;
+  for (std::uint64_t wr : conn.qp->drain_posted_recvs()) {
+    if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
   }
-  if (trace::TraceCollector* tr = trace::active(host_.tracer()); tr != nullptr) {
-    const sim::Time now = host_.sched().now();
-    tr->add_complete(std::string("reconnect.") + rpc::reconnect_cause_name(cause),
-                     trace::Kind::kClient, trace::Category::kSession, {}, host_.id(),
-                     now, now);
-  }
+  conn.qp->disconnect();
 }
 
 void RdmaRpcClient::teardown_connection(const ConnectionPtr& conn, net::Address addr,
                                         rpc::ReconnectCause cause, const std::string& why) {
-  if (conn->qp) {
-    // Still-posted receive slots hold pooled buffers; reclaim them before
-    // the QP breaks or the pool leaks a slot per pre-posted recv.
-    for (std::uint64_t wr : conn->qp->drain_posted_recvs()) {
-      if (NativeBuffer* b = buf_of(wr); b != nullptr) native_.release(b);
-    }
-    conn->qp->disconnect();
-  }
+  release_qp(*conn);
   // NOT cancelled and the CQ stays open: completions already scheduled
   // (the in-flight kSend, READ completions, stale responses) still land,
   // and the still-running receive loop recycles their pooled buffers —
@@ -272,8 +203,8 @@ void RdmaRpcClient::teardown_connection(const ConnectionPtr& conn, net::Address 
   if (it != connections_.end() && it->second == conn) connections_.erase(it);
 }
 
-void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf) {
-  if (conn->broken || !conn->qp->connected()) {
+void RdmaRpcClient::repost_recv(Connection* conn, NativeBuffer* buf, bool is_recv_slot) {
+  if (!is_recv_slot || conn->broken || !conn->qp->connected()) {
     native_.release(buf);
     return;
   }
@@ -283,16 +214,9 @@ void RdmaRpcClient::repost_recv(const ConnectionPtr& conn, NativeBuffer* buf) {
 void RdmaRpcClient::deliver_response(const ConnectionPtr& conn, net::ByteSpan frame,
                                      NativeBuffer* buf, bool is_recv_slot) {
   // frame = [u8 kResp][u64 id][u8 status][...]
-  std::uint64_t id = 0;
-  for (int i = 0; i < 8; ++i) id = (id << 8) | frame[1 + static_cast<std::size_t>(i)];
-  auto it = conn->pending.find(id);
+  auto it = conn->pending.find(frame_word(frame));
   if (it == conn->pending.end()) {
-    // Stale response; recycle the buffer.
-    if (is_recv_slot) {
-      repost_recv(conn, buf);
-    } else {
-      native_.release(buf);
-    }
+    repost_recv(conn.get(), buf, is_recv_slot);  // stale response
     return;
   }
   PendingCall* pc = it->second;
@@ -317,7 +241,7 @@ sim::Task RdmaRpcClient::fetch_response(ConnectionPtr conn, std::uint32_t rkey,
     // Client torn down while the READ was in flight: the pool died with
     // it, so the lease cannot be returned — just stop.
     if (conn->cancelled) co_return;
-    const ControlFrame ack = ControlFrame::ack(rkey);
+    const ControlFrame ack = ControlFrame::of_rkey(FrameType::kAck, rkey);
     co_await conn->qp->post_send(wr_of(nullptr), ack.span());
     if (conn->cancelled) co_return;
     deliver_response(conn, net::ByteSpan(dst->span.data(), len), dst, /*is_recv_slot=*/false);
@@ -380,19 +304,18 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
               deliver_response(conn, net::ByteSpan(sub->span.data(), sub_len), sub,
                                /*is_recv_slot=*/false);
             }
-            repost_recv(conn, rb);
+            repost_recv(conn.get(), rb);
           } else if (type == FrameType::kCtrlResp) {
             std::uint32_t rkey = 0, len = 0;
             std::uint64_t off = 0;
             parse_control(frame, rkey, off, len);
             host_.sched().spawn(fetch_response(conn, rkey, off, len));
-            repost_recv(conn, rb);
+            repost_recv(conn.get(), rb);
           } else if (type == FrameType::kNack) {
             // The server refused to RDMA-READ our rendezvous source (its
             // pool hit the demand-allocation cap). Wake the call, which
             // retries over the socket path.
-            std::uint32_t rkey = 0;
-            std::memcpy(&rkey, frame.data() + 1, 4);
+            const std::uint32_t rkey = parse_rkey(frame);
             for (auto it = conn->pending.begin(); it != conn->pending.end(); ++it) {
               PendingCall* pc = it->second;
               if (pc->rendezvous_buf != nullptr && pc->rendezvous_buf->mr.rkey == rkey) {
@@ -402,9 +325,9 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
                 break;
               }
             }
-            repost_recv(conn, rb);
+            repost_recv(conn.get(), rb);
           } else {
-            repost_recv(conn, rb);  // unknown frame; drop
+            repost_recv(conn.get(), rb);  // unknown frame; drop
           }
           break;
         }
@@ -423,102 +346,46 @@ sim::Task RdmaRpcClient::receive_loop(ConnectionPtr conn) {
   }
 }
 
-sim::Co<void> RdmaRpcClient::append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                             const trace::TraceContext& ctx) {
-  rpc::CallBatcher& b = conn->batcher;
-  // Batch frames ride the eager path, so the whole frame must fit the
-  // peer's pre-posted receive buffers: clamp the byte limit to the
-  // negotiated threshold.
-  const std::size_t limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  if (b.would_overflow(payload.size(), limit)) {
-    ++stats_.batch_flush_full;
-    co_await flush_batch(conn);
-    if (conn->cancelled || conn->broken) co_return;
-  }
-  const bool was_empty = b.empty();
-  if (was_empty && ctx.valid()) conn->batch_ctx = ctx;
-  b.append(std::move(payload), host_.sched().now());
-  ++stats_.batched_calls;
-  if (b.full() || b.bytes() >= limit) {
-    ++stats_.batch_flush_full;
-    co_await flush_batch(conn);
-  } else if (was_empty) {
-    host_.sched().spawn(batch_timer(conn, b.epoch(), b.adaptive_linger()));
-  }
-}
-
-sim::Task RdmaRpcClient::batch_timer(ConnectionPtr conn, std::uint64_t epoch,
-                                     sim::Dur linger) {
-  // A zero linger still suspends one scheduler tick, so same-timestamp
-  // arrivals coalesce while a lone caller's flush happens "now".
-  sim::Scheduler& sched = host_.sched();
-  co_await sim::delay(sched, linger);
-  if (conn->cancelled || conn->broken) co_return;
-  const rpc::CallBatcher& b = conn->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  if (linger > 0) {
-    ++stats_.batch_flush_linger;
-  } else {
-    ++stats_.batch_flush_immediate;
-  }
-  co_await flush_batch(conn);
-}
-
-sim::Co<void> RdmaRpcClient::flush_batch(ConnectionPtr conn) {
-  rpc::CallBatcher& b = conn->batcher;
-  if (b.empty()) co_return;
-  // Hoisted like receive_loop: the computes below may outlive the client.
-  cluster::Host& host = host_;
+sim::Co<bool> RdmaRpcClient::BatchSink::flush(rpc::CallBatcher& b, rpc::FlushReason why) {
+  client->note_batch_flush(why);
+  // Hoisted like receive_loop: the compute below may outlive the client.
+  cluster::Host& host = client->host_;
   const cluster::CostModel& cm = host.cost();
   trace::TraceCollector* tr = trace::active(host.tracer());
-  const trace::TraceContext ctx = std::exchange(conn->batch_ctx, {});
   const sim::Time t0 = host.sched().now();
 
   // Take the items before any suspension so a concurrent limit-flush
-  // can't double-send them.
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
-  // [u8 kBatch][u32 count][u32 len_i x count][kCall sub-frames...] encoded
-  // straight into a pooled registered buffer — one doorbell for the lot.
-  const std::size_t total = 5 + 4 * items.size() + payload_bytes;
-  NativeBuffer* fb = shadow_.acquire_sized(total);
-  net::Byte* p = fb->span.data();
-  p[0] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(p + 1, &count, 4);
-  std::size_t off = 5 + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(p + 5 + 4 * i, &len, 4);
-    std::memcpy(p + off, items[i].data(), items[i].size());
-    off += items[i].size();
-  }
-  const sim::Dur encode_cost = cm.direct_copy(total) + cm.jni_call();
-  co_await host.compute(encode_cost);
+  // can't double-send them; encode straight into a pooled registered
+  // buffer — one doorbell for the lot.
+  const rpc::Batch batch = b.take();
+  const std::size_t total = batch_frame_bytes(batch.items.size(), batch.bytes);
+  NativeBuffer* fb = client->shadow_.acquire_sized(total);
+  write_batch_frame(fb->span.data(), batch.items);
+  co_await host.compute(cm.direct_copy(total) + cm.jni_call());
   // Client torn down while we computed: the pool died with it, so the
   // lease cannot be returned — just stop.
-  if (conn->cancelled) co_return;
+  if (conn->cancelled) co_return false;
   if (conn->broken) {
-    native_.release(fb);
-    co_return;
+    client->native_.release(fb);
+    co_return false;
   }
   try {
     const net::ByteSpan wire(fb->span.data(), total);
     co_await conn->qp->post_send(wr_of(fb), wire);
     // fb is released by receive_loop at the kSend completion.
   } catch (const std::exception& e) {
-    if (conn->cancelled) co_return;
-    native_.release(fb);
-    fail_all(*conn, e.what());
-    co_return;
+    if (conn->cancelled) co_return false;
+    client->native_.release(fb);
+    client->fail_all(*conn, e.what());
+    co_return false;
   }
-  if (conn->cancelled) co_return;
-  ++stats_.batches_sent;
-  if (tr != nullptr && ctx.valid()) {
-    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx,
+  if (conn->cancelled) co_return false;
+  ++client->stats_.batches_sent;
+  if (tr != nullptr && batch.ctx.valid()) {
+    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, batch.ctx,
                      host.id(), t0, host.sched().now());
   }
+  co_return !conn->broken;
 }
 
 std::size_t RdmaRpcClient::ud_budget() const {
@@ -576,11 +443,7 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
       if (wc.byte_len > grh + 9) {
         net::ByteSpan frame(rb->span.data() + grh, wc.byte_len - grh);
         if (static_cast<FrameType>(frame[0]) == FrameType::kResp) {
-          std::uint64_t id = 0;
-          for (int i = 0; i < 8; ++i) {
-            id = (id << 8) | frame[1 + static_cast<std::size_t>(i)];
-          }
-          auto it = ud->pending.find(id);
+          auto it = ud->pending.find(frame_word(frame));
           if (it != ud->pending.end()) {
             PendingCall* pc = it->second;
             ud->pending.erase(it);
@@ -610,115 +473,55 @@ sim::Task RdmaRpcClient::ud_receive_loop(UdStatePtr ud) {
   }
 }
 
-sim::Co<void> RdmaRpcClient::ud_append_to_batch(UdStatePtr ud, net::Address addr,
-                                                net::Bytes payload,
-                                                const trace::TraceContext& ctx) {
-  auto it = ud_dests_.find(addr);
-  if (it == ud_dests_.end()) {
-    it = ud_dests_.emplace(addr, std::make_unique<UdDest>(batch_)).first;
-  }
-  UdDest& dest = *it->second;
-  rpc::CallBatcher& b = dest.batcher;
-  // The whole kUdCall datagram must fit the MTU: clamp the byte limit so
-  // wrapper + batch headers (9 + 5 + 4*count) always fit in the slack.
-  const std::size_t limit = std::min(
-      batch_.max_bytes, std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
-  if (b.would_overflow(payload.size(), limit)) {
-    ++stats_.batch_flush_full;
-    co_await ud_flush_batch(ud, addr);
-    if (ud->cancelled) co_return;
-  }
-  const bool was_empty = b.empty();
-  if (was_empty && ctx.valid()) dest.batch_ctx = ctx;
-  b.append(std::move(payload), host_.sched().now());
-  ++stats_.batched_calls;
-  if (b.full() || b.bytes() >= limit) {
-    ++stats_.batch_flush_full;
-    co_await ud_flush_batch(ud, addr);
-  } else if (was_empty) {
-    host_.sched().spawn(ud_batch_timer(ud, addr, b.epoch(), b.adaptive_linger()));
-  }
-}
-
-sim::Task RdmaRpcClient::ud_batch_timer(UdStatePtr ud, net::Address addr,
-                                        std::uint64_t epoch, sim::Dur linger) {
-  sim::Scheduler& sched = host_.sched();
-  co_await sim::delay(sched, linger);
-  if (ud->cancelled) co_return;
-  auto it = ud_dests_.find(addr);
-  if (it == ud_dests_.end()) co_return;
-  const rpc::CallBatcher& b = it->second->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  if (linger > 0) {
-    ++stats_.batch_flush_linger;
-  } else {
-    ++stats_.batch_flush_immediate;
-  }
-  co_await ud_flush_batch(ud, addr);
-}
-
-sim::Co<void> RdmaRpcClient::ud_flush_batch(UdStatePtr ud, net::Address addr) {
-  auto dit = ud_dests_.find(addr);
-  if (dit == ud_dests_.end()) co_return;
-  UdDest& dest = *dit->second;
-  rpc::CallBatcher& b = dest.batcher;
-  if (b.empty()) co_return;
-  cluster::Host& host = host_;
+sim::Co<bool> RdmaRpcClient::UdBatchSink::flush(rpc::CallBatcher& b, rpc::FlushReason why) {
+  client->note_batch_flush(why);
+  cluster::Host& host = client->host_;
   const cluster::CostModel& cm = host.cost();
   trace::TraceCollector* tr = trace::active(host.tracer());
-  const trace::TraceContext ctx = std::exchange(dest.batch_ctx, {});
   const sim::Time t0 = host.sched().now();
 
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
-  // [u8 kUdCall][u64 session][u8 kBatch][u32 count][u32 len_i][sub-frames]
-  // — one datagram, one doorbell for the lot.
-  const std::uint64_t sid = session_id(host_);
-  const std::size_t total = kUdHeaderBytes + 5 + 4 * items.size() + payload_bytes;
-  NativeBuffer* fb = shadow_.acquire_sized(total);
+  const rpc::Batch batch = b.take();
+  // [u8 kUdCall][u64 session][kBatch frame] — one datagram, one doorbell
+  // for the lot.
+  const std::uint64_t sid = client->session_id(host);
+  const std::size_t total =
+      kUdHeaderBytes + batch_frame_bytes(batch.items.size(), batch.bytes);
+  NativeBuffer* fb = client->shadow_.acquire_sized(total);
   net::Byte* p = fb->span.data();
   p[0] = static_cast<net::Byte>(FrameType::kUdCall);
   for (int i = 0; i < 8; ++i) {
     p[1 + i] = static_cast<net::Byte>((sid >> (8 * (7 - i))) & 0xff);
   }
-  p[9] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(p + 10, &count, 4);
-  std::size_t off = kUdHeaderBytes + 5 + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(p + 14 + 4 * i, &len, 4);
-    std::memcpy(p + off, items[i].data(), items[i].size());
-    off += items[i].size();
-  }
+  write_batch_frame(p + kUdHeaderBytes, batch.items);
   co_await host.compute(cm.direct_copy(total) + cm.jni_call());
-  if (ud->cancelled) co_return;
-  const verbs::UdService* svc = stack_.ud_service(addr);
+  if (ud->cancelled) co_return false;
+  const verbs::UdService* svc = client->stack_.ud_service(addr);
   if (svc == nullptr || svc->qpns.empty() || !ud->ep) {
     // Service withdrawn (server stopped): the datagrams are "lost"; the
     // callers time out and their retries take the RC or socket path.
-    native_.release(fb);
-    co_return;
+    client->native_.release(fb);
+    co_return true;
   }
   try {
+    // The target endpoint is picked by the epoch read here, after take().
     const net::ByteSpan wire(fb->span.data(), total);
-    co_await ud->ep->post_send(wr_of(fb), ud_target(*svc, sid, b.epoch()), wire);
+    co_await ud->ep->post_send(wr_of(fb), client->ud_target(*svc, sid, b.epoch()), wire);
     // fb is released by ud_receive_loop at the kSend completion.
   } catch (const std::exception&) {
-    if (ud->cancelled) co_return;
+    if (ud->cancelled) co_return false;
     // A failed post is indistinguishable from a lost datagram: drop it
     // and let the per-call timeouts drive the retries.
-    native_.release(fb);
-    co_return;
+    client->native_.release(fb);
+    co_return true;
   }
-  if (ud->cancelled) co_return;
-  ++stats_.batches_sent;
-  ++stats_.ud_datagrams_sent;
-  if (tr != nullptr && ctx.valid()) {
-    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, ctx,
+  if (ud->cancelled) co_return false;
+  ++client->stats_.batches_sent;
+  ++client->stats_.ud_datagrams_sent;
+  if (tr != nullptr && batch.ctx.valid()) {
+    tr->add_complete("batch.flush", trace::Kind::kClient, trace::Category::kSend, batch.ctx,
                      host.id(), t0, host.sched().now());
   }
+  co_return true;
 }
 
 sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdService& svc,
@@ -747,18 +550,7 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
     out.write_u8(static_cast<std::uint8_t>(FrameType::kUdCall));
     out.write_u64(sid);
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
-    std::uint64_t wire_id = id;
-    if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
-    if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
-    if (retried && session_.enabled) wire_id |= trace::kWireRetryFlag;
-    out.write_u64(wire_id);
-    if (ctx.valid()) {
-      out.write_u64(ctx.trace_id);
-      out.write_u64(ctx.span_id);
-    }
-    if (deadline != 0) out.write_u64(deadline);
-    out.write_text(key.protocol);
-    out.write_text(key.method);
+    rpc::write_call_head(out, id, ctx, deadline, retried && session_.enabled, key);
     param.write(out);
   } catch (const PoolExhaustedError&) {
     // Let the RC path re-serialize and run its pool-exhaustion degrade
@@ -793,9 +585,11 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
   ud->pending[id] = &pc;
 
   // --- Send: coalesced when small, else one datagram ---------------------
-  const std::size_t batch_limit = std::min(
-      batch_.max_bytes, std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512));
-  const bool batchable = batch_.batchable(msg_len) && msg_len <= batch_limit;
+  // The whole kUdCall datagram must fit the MTU: clamp the frame so
+  // wrapper + batch headers (9 + 5 + 4*count) always fit in the slack.
+  const rpc::CoalesceLimits limits{std::min(
+      batch_.max_bytes, std::min(cfg_.eager_threshold, verbs::UdEndpoint::kMtu - 512))};
+  const bool batchable = batch_.batchable(msg_len) && msg_len <= limits.frame_bytes;
   try {
     if (batchable) {
       // Append the *inner* frame: the flush re-wraps the batch in one
@@ -804,7 +598,9 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
       native_.release(buf);
       buf = nullptr;
       co_await host_.compute(cm.direct_copy(msg_len));
-      co_await ud_append_to_batch(ud, addr, std::move(payload), ctx);
+      rpc::CallBatcher& b = ud_dests_.try_emplace(addr, host_.sched(), batch_).first->second;
+      UdBatchSink sink{this, ud, addr};
+      co_await b.add(sink, std::move(payload), ctx, limits);
     } else {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
       co_await ud->ep->post_send(wr_of(buf), ud_target(svc, sid, id), dg);
@@ -824,32 +620,31 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
     tr->annotate(send, "path", batchable ? "ud-batched" : "ud");
   }
 
-  rpc::MethodProfile& prof = stats_.method(key);
-  prof.mem_adjustments.add(static_cast<double>(regets));
-  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
-  prof.send_us.add(sim::to_us(t_sent - t_serialized));
-  prof.msg_bytes.add(static_cast<double>(msg_len));
-  stats_.record_size(prof, static_cast<std::uint32_t>(msg_len));
-  ++stats_.calls_sent;
+  rpc::MethodProfile& prof =
+      note_sent(key, regets, msg_len, t_start, t_serialized, t_sent);
 
   // --- Wait. A lost datagram (either direction) is pure silence: the
   // per-attempt timeout fires and the outer retry loop retransmits with
   // the retry flag set; the server's session-keyed retry cache makes the
   // re-execution window exactly-once. ------------------------------------
-  if (const sim::Dur dl = retry_.call_timeout; dl > 0) {
-    const bool completed = co_await pc.done.wait_for(dl);
-    if (!completed) {
-      // Unregister so a late response is dropped by the receive loop.
-      ud->pending.erase(id);
-      throw rpc::RpcTimeoutError("call timed out after " +
-                                 std::to_string(sim::to_ms(dl)) + " ms");
-    }
-  } else {
-    co_await pc.done.wait();
+  const bool replied = co_await await_reply(pc.done);
+  if (!replied) {
+    // Unregister so a late response is dropped by the receive loop.
+    ud->pending.erase(id);
+    throw attempt_timeout();
   }
   if (pc.transport_error) throw rpc::RpcTransportError(pc.error_msg);
+  co_await read_response(pc, nullptr, response, tr, ctx);  // from the pooled copy
+  prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
+  rpc.end();
+  co_return true;
+}
 
-  // --- Deserialize from the pooled copy ---------------------------------
+sim::Co<void> RdmaRpcClient::read_response(PendingCall& pc, Connection* conn,
+                                           rpc::Writable* response,
+                                           trace::TraceCollector* tr,
+                                           const trace::TraceContext& ctx) {
+  const cluster::CostModel& cm = host_.cost();
   const sim::Time t_deser = host_.sched().now();
   RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
   const std::uint8_t status = in.read_u8();
@@ -866,17 +661,16 @@ sim::Co<bool> RdmaRpcClient::call_attempt_ud(net::Address addr, const verbs::UdS
                      trace::Category::kSerialization, ctx, host_.id(), t_deser,
                      host_.sched().now());
   }
-  native_.release(pc.resp_buf);
+  repost_recv(conn, pc.resp_buf, pc.resp_is_recv_slot);
   if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kSessionExpired)) {
+    // Terminal: the server could not prove the first attempt never
+    // executed, so the retry loop must not re-send this logical call.
     throw rpc::SessionExpiredException(error_msg);
   }
   if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kBusy)) {
     throw rpc::ServerBusyException(error_msg);
   }
   if (is_error) throw rpc::RemoteException(error_msg);
-  prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
-  rpc.end();
-  co_return true;
 }
 
 sim::Co<void> RdmaRpcClient::call_via_fallback(net::Address addr, const rpc::MethodKey& key,
@@ -1138,22 +932,9 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
   bool pool_exhausted = false;
   try {
     out.write_u8(static_cast<std::uint8_t>(FrameType::kCall));
-    std::uint64_t wire_id = id;
-    if (ctx.valid()) wire_id |= trace::kWireTraceFlag;
-    if (deadline != 0) wire_id |= trace::kWireDeadlineFlag;
     // Mark retried attempts so the server can refuse them (instead of
     // re-executing) when the session that held the dedup state is gone.
-    if (retried && session_.enabled) wire_id |= trace::kWireRetryFlag;
-    out.write_u64(wire_id);
-    if (ctx.valid()) {
-      // Flagged id announces two extra context words; untraced calls keep
-      // the seed wire format byte-for-byte.
-      out.write_u64(ctx.trace_id);
-      out.write_u64(ctx.span_id);
-    }
-    if (deadline != 0) out.write_u64(deadline);
-    out.write_text(key.protocol);
-    out.write_text(key.method);
+    rpc::write_call_head(out, id, ctx, deadline, retried && session_.enabled, key);
     param.write(out);
   } catch (const PoolExhaustedError&) {
     // A mid-serialization re-get was refused by the capped pool: degrade
@@ -1203,8 +984,10 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
 
   // --- Hybrid send: coalesced when small, eager below the negotiated
   // threshold, rendezvous above ------------------------------------------
-  const std::size_t batch_limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  const bool batchable = batch_.batchable(msg_len) && msg_len <= batch_limit;
+  // Batch frames ride the eager path, so the whole frame must fit the
+  // peer's pre-posted receive buffers: clamp it to the negotiated threshold.
+  const rpc::CoalesceLimits limits{std::min(batch_.max_bytes, conn->eager_threshold)};
+  const bool batchable = batch_.batchable(msg_len) && msg_len <= limits.frame_bytes;
   try {
     if (batchable) {
       if (conn->broken) throw rpc::RpcTransportError("connection broken");
@@ -1215,7 +998,8 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
       native_.release(buf);
       buf = nullptr;
       co_await host_.compute(cm.direct_copy(msg_len));
-      co_await append_to_batch(conn, std::move(payload), ctx);
+      BatchSink sink{this, conn};
+      co_await conn->batcher.add(sink, std::move(payload), ctx, limits);
     } else if (msg_len <= conn->eager_threshold) {
       co_await host_.compute(cm.jni_call());  // one JNI crossing per post
       co_await conn->qp->post_send(wr_of(buf), msg);
@@ -1266,26 +1050,15 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
                            : (msg_len <= conn->eager_threshold ? "eager" : "rendezvous"));
   }
 
-  rpc::MethodProfile& prof = stats_.method(key);
-  prof.mem_adjustments.add(static_cast<double>(regets));
-  prof.serialize_us.add(sim::to_us(t_serialized - t_start));
-  prof.send_us.add(sim::to_us(t_sent - t_serialized));
-  prof.msg_bytes.add(static_cast<double>(msg_len));
-  stats_.record_size(prof, static_cast<std::uint32_t>(msg_len));
-  ++stats_.calls_sent;
-
-  if (const sim::Dur deadline = retry_.call_timeout; deadline > 0) {
-    const bool completed = co_await pc.done.wait_for(deadline);
-    if (!completed) {
-      // Unregister so a late response is recycled by the receive loop, and
-      // reclaim the rendezvous source: the peer's READ window is gone.
-      conn->pending.erase(id);
-      release_rendezvous(pc);
-      throw rpc::RpcTimeoutError("call timed out after " +
-                                 std::to_string(sim::to_ms(deadline)) + " ms");
-    }
-  } else {
-    co_await pc.done.wait();
+  rpc::MethodProfile& prof =
+      note_sent(key, regets, msg_len, t_start, t_serialized, t_sent);
+  const bool replied = co_await await_reply(pc.done);
+  if (!replied) {
+    // Unregister so a late response is recycled by the receive loop, and
+    // reclaim the rendezvous source: the peer's READ window is gone.
+    conn->pending.erase(id);
+    release_rendezvous(pc);
+    throw attempt_timeout();
   }
   release_rendezvous(pc);  // rendezvous source: response doubles as the ack
   if (pc.nacked) {
@@ -1307,38 +1080,7 @@ sim::Co<void> RdmaRpcClient::call_attempt(net::Address addr, const rpc::MethodKe
     co_return;
   }
   if (pc.transport_error) throw rpc::RpcTransportError(pc.error_msg);
-
-  // --- Deserialize in place from the registered buffer ------------------
-  const sim::Time t_deser = host_.sched().now();
-  RDMAInputStream in(cm, pc.resp.subspan(9));  // skip [type][id]
-  const std::uint8_t status = in.read_u8();
-  const bool is_error = status != static_cast<std::uint8_t>(rpc::RpcStatus::kSuccess);
-  std::string error_msg;
-  if (is_error) {
-    error_msg = in.read_text();
-  } else if (response != nullptr) {
-    response->read_fields(in);
-  }
-  co_await host_.compute(in.take_accrued());
-  if (ctx.valid()) {
-    tr->add_complete("deserialize", trace::Kind::kInternal,
-                     trace::Category::kSerialization, ctx, host_.id(), t_deser,
-                     host_.sched().now());
-  }
-  if (pc.resp_is_recv_slot) {
-    repost_recv(conn, pc.resp_buf);
-  } else {
-    native_.release(pc.resp_buf);
-  }
-  if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kSessionExpired)) {
-    // Terminal: the server could not prove the first attempt never
-    // executed, so the retry loop must not re-send this logical call.
-    throw rpc::SessionExpiredException(error_msg);
-  }
-  if (status == static_cast<std::uint8_t>(rpc::RpcStatus::kBusy)) {
-    throw rpc::ServerBusyException(error_msg);
-  }
-  if (is_error) throw rpc::RemoteException(error_msg);
+  co_await read_response(pc, conn.get(), response, tr, ctx);  // in place, registered buffer
   prof.total_us.add(sim::to_us(host_.sched().now() - t_start));
   rpc.end();
 }

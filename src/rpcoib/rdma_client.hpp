@@ -66,14 +66,6 @@ class RdmaRpcClient final : public rpc::RpcClient {
                              std::uint64_t call_id, bool retried) override;
 
  private:
-  /// Reconnect recovery state machine (unified with the socket client; see
-  /// DESIGN.md §13). kConnecting while the bootstrap exchange runs,
-  /// kHealthy once the QP is paired and receives are posted, kTornDown
-  /// after a failure (stale QP found on reuse, a post into an errored QP,
-  /// or an injected kill) failed every pending call over to the retry
-  /// loop. Re-bootstrap is the next get_connection(); the durable session
-  /// id carried in the bootstrap blob makes the replay exactly-once.
-  enum class Recovery : std::uint8_t { kConnecting, kHealthy, kTornDown };
   struct PendingCall {
     explicit PendingCall(sim::Scheduler& s) : done(s) {}
     sim::SimEvent done;
@@ -90,10 +82,13 @@ class RdmaRpcClient final : public rpc::RpcClient {
 
   struct Connection {
     Connection(sim::Scheduler& s, const rpc::BatchConfig& batch)
-        : cq(s), ready(s), batcher(batch) {}
+        : cq(s), ready(s), batcher(s, batch) {}
     verbs::QueuePairPtr qp;
     verbs::CompletionQueue cq;  // shared send+recv CQ for this connection
-    sim::SimEvent ready;
+    sim::SimEvent ready;  // set once the bootstrap exchange finished (or failed)
+    // Set by the teardown (stale QP on reuse, failed post, injected kill)
+    // that failed every pending call over to the retry loop; the next
+    // get_connection() re-bootstraps (DESIGN.md §13).
     bool broken = false;
     // Set by close_connections() before the CQ closes: the receive loop,
     // fetch tasks and flush timers check it after every resumption instead
@@ -103,10 +98,7 @@ class RdmaRpcClient final : public rpc::RpcClient {
     // min(local, peer-advertised) from the bootstrap handshake, so an
     // eager SEND always fits the peer's pre-posted receive buffers.
     std::size_t eager_threshold = 0;
-    Recovery recovery = Recovery::kConnecting;
     rpc::CallBatcher batcher;  // small-call coalescing (BatchConfig)
-    // First traced call of the open batch; parents the batch.flush span.
-    trace::TraceContext batch_ctx;
     std::map<std::uint64_t, PendingCall*> pending;
     // RDMA-READ completions are routed from receive_loop to the fetch
     // task that posted them, keyed by an odd wr_id token (buffer-pointer
@@ -135,35 +127,40 @@ class RdmaRpcClient final : public rpc::RpcClient {
     std::map<std::uint64_t, PendingCall*> pending;
   };
   using UdStatePtr = std::shared_ptr<UdState>;
-  /// Per-destination UD batch state: kBatch frames ride UD too, clamped
-  /// to the datagram budget instead of the negotiated RC threshold.
-  struct UdDest {
-    explicit UdDest(const rpc::BatchConfig& batch) : batcher(batch) {}
-    rpc::CallBatcher batcher;
-    trace::TraceContext batch_ctx;
-  };
-
   sim::Co<ConnectionPtr> get_connection(net::Address addr);
   sim::Task receive_loop(ConnectionPtr conn);
   sim::Task fetch_response(ConnectionPtr conn, std::uint32_t rkey, std::uint64_t off,
                            std::uint32_t len);
-  /// Buffer one serialized eager kCall frame; flushes inline when a limit
-  /// fills, otherwise arms the adaptive-linger timer on first append.
-  sim::Co<void> append_to_batch(ConnectionPtr conn, net::Bytes payload,
-                                const trace::TraceContext& ctx);
-  /// Post everything buffered as one kBatch SEND (pooled source buffer,
-  /// released at the kSend completion like any eager frame).
-  sim::Co<void> flush_batch(ConnectionPtr conn);
-  /// Delayed flush armed per batch; stands down if `epoch` already flushed.
-  sim::Task batch_timer(ConnectionPtr conn, std::uint64_t epoch, sim::Dur linger);
+  /// Coalescer sink of one RC connection (rpc::CallBatcher::add): posts
+  /// the batch as one kBatch SEND from a pooled source buffer, released at
+  /// the kSend completion like any eager frame.
+  struct BatchSink {
+    RdmaRpcClient* client;
+    ConnectionPtr conn;
+    rpc::CallBatcher* batcher() {
+      return conn->cancelled || conn->broken ? nullptr : &conn->batcher;
+    }
+    void appended() { ++client->stats_.batched_calls; }
+    sim::Co<bool> flush(rpc::CallBatcher& b, rpc::FlushReason why);
+  };
   void deliver_response(const ConnectionPtr& conn, net::ByteSpan frame, NativeBuffer* buf,
                         bool is_recv_slot);
-  void repost_recv(const ConnectionPtr& conn, NativeBuffer* buf);
+  /// Deserialize the kResp frame `pc` received into `response`, return
+  /// its buffer (reposting a receive slot of `conn`; null on the UD path,
+  /// which never lends one) and map an error status onto its exception.
+  sim::Co<void> read_response(PendingCall& pc, Connection* conn,
+                              rpc::Writable* response, trace::TraceCollector* tr,
+                              const trace::TraceContext& ctx);
+  /// Return a consumed buffer: repost a receive slot of a live `conn`,
+  /// release anything else to the pool.
+  void repost_recv(Connection* conn, NativeBuffer* buf, bool is_recv_slot = true);
   void fail_all(Connection& conn, const std::string& why);
+  /// Fail every call in `pending` over to the retry loop.
+  void fail_pending(std::map<std::uint64_t, PendingCall*>& pending, const std::string& why);
   void release_rendezvous(PendingCall& pc);
-  /// Count one recovery-FSM activation and emit its kSession trace span.
-  /// No-op with sessions disabled (the knob gates all reconnect rows).
-  void note_reconnect(rpc::ReconnectCause cause);
+  /// Reclaim the pooled buffers still posted as receive slots (or the
+  /// pool leaks one per slot) and disconnect the QP.
+  void release_qp(Connection& conn);
   /// Full mid-call teardown: reclaim posted receive slots, break the QP,
   /// fail pending calls over to the retry loop and drop the map entry.
   /// The CQ stays OPEN: completions already scheduled (the just-posted
@@ -204,11 +201,21 @@ class RdmaRpcClient final : public rpc::RpcClient {
                                 rpc::Writable* response, std::uint64_t call_id,
                                 bool retried, trace::TraceCollector* tr,
                                 const trace::TraceContext& t_parent);
-  sim::Co<void> ud_append_to_batch(UdStatePtr ud, net::Address addr, net::Bytes payload,
-                                   const trace::TraceContext& ctx);
-  sim::Co<void> ud_flush_batch(UdStatePtr ud, net::Address addr);
-  sim::Task ud_batch_timer(UdStatePtr ud, net::Address addr, std::uint64_t epoch,
-                           sim::Dur linger);
+  /// Coalescer sink of one server address on the UD path: posts the
+  /// batch as one kUdCall datagram wrapping a kBatch frame, clamped to the
+  /// datagram budget instead of the negotiated RC threshold.
+  struct UdBatchSink {
+    RdmaRpcClient* client;
+    UdStatePtr ud;
+    net::Address addr;
+    rpc::CallBatcher* batcher() {
+      if (ud->cancelled) return nullptr;
+      auto it = client->ud_dests_.find(addr);
+      return it == client->ud_dests_.end() ? nullptr : &it->second;
+    }
+    void appended() { ++client->stats_.batched_calls; }
+    sim::Co<bool> flush(rpc::CallBatcher& b, rpc::FlushReason why);
+  };
 
   sim::Task init_pool_task();
 
@@ -222,7 +229,8 @@ class RdmaRpcClient final : public rpc::RpcClient {
   sim::SimEvent pool_ready_;
   std::map<net::Address, std::shared_ptr<Connection>> connections_;
   UdStatePtr ud_;
-  std::map<net::Address, std::unique_ptr<UdDest>> ud_dests_;
+  // Per-destination UD call batchers (std::map nodes never move).
+  std::map<net::Address, rpc::CallBatcher> ud_dests_;
   // Cached one-sided advertisements, fetched once per address (the
   // bootstrap-time exchange) and refreshed only when a READ fails the
   // generation check — a server re-export must be detected, never assumed.

@@ -11,48 +11,6 @@ namespace rpcoib::oib {
 
 namespace {
 
-struct ControlFrame {
-  net::Byte bytes[17];
-  std::size_t len = 0;
-
-  static ControlFrame make(FrameType t, std::uint32_t rkey, std::uint64_t off,
-                           std::uint32_t payload_len) {
-    ControlFrame f;
-    f.bytes[0] = static_cast<net::Byte>(t);
-    std::memcpy(f.bytes + 1, &rkey, 4);
-    std::memcpy(f.bytes + 5, &off, 8);
-    std::memcpy(f.bytes + 13, &payload_len, 4);
-    f.len = 17;
-    return f;
-  }
-  net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
-};
-
-void parse_control(net::ByteSpan frame, std::uint32_t& rkey, std::uint64_t& off,
-                   std::uint32_t& len) {
-  std::memcpy(&rkey, frame.data() + 1, 4);
-  std::memcpy(&off, frame.data() + 5, 8);
-  std::memcpy(&len, frame.data() + 13, 4);
-}
-
-std::uint32_t parse_ack(net::ByteSpan frame) {
-  std::uint32_t rkey = 0;
-  std::memcpy(&rkey, frame.data() + 1, 4);
-  return rkey;
-}
-
-/// 5-byte rendezvous refusal: [u8 kNack][u32 rkey of the refused source].
-ControlFrame make_nack(std::uint32_t rkey) {
-  ControlFrame f;
-  f.bytes[0] = static_cast<net::Byte>(FrameType::kNack);
-  std::memcpy(f.bytes + 1, &rkey, 4);
-  f.len = 5;
-  return f;
-}
-
-/// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
-inline constexpr std::size_t kUdHeaderBytes = 9;
-
 /// Header of a kCall frame read on the side — at admission (so the gate
 /// can shed with a well-formed busy response before a handler sees the
 /// call) and for the batch.parse span. Bookkeeping only: no cost is
@@ -247,7 +205,7 @@ void RdmaRpcServer::stop() {
       // Finished responses still lingering in the coalescer die with the
       // server; account for them so teardown losses are never silent.
       shard_of(*c).pipeline.stats().responses_dropped_on_stop +=
-          c->batcher->take().size();
+          c->batcher->take().items.size();
     }
     if (c->qp) {
       for (std::uint64_t wr : c->qp->drain_posted_recvs()) {
@@ -465,7 +423,9 @@ sim::Task RdmaRpcServer::listener_loop() {
       if (peer_threshold != 0 && peer_threshold != cfg_.eager_threshold) {
         ++stats_.threshold_mismatches;
       }
-      if (batch_.enabled) conn->batcher = std::make_unique<rpc::CallBatcher>(batch_);
+      if (batch_.enabled) {
+        conn->batcher = std::make_unique<rpc::CallBatcher>(host_.sched(), batch_);
+      }
       // kRecv completions carry the connection id as qp_context — with a
       // shared ring the wr_id names only the buffer, not the sender.
       conn->qp->set_context(conn->id);
@@ -497,7 +457,8 @@ sim::Task RdmaRpcServer::fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint6
     // The call's trace context is inside the frame we refused to fetch;
     // the client records the overload.nack span with full context.
     ++shard.pipeline.stats().pool_nacks;
-    const ControlFrame nack = make_nack(rkey);
+    // Rendezvous refusal: [u8 kNack][u32 rkey of the refused source].
+    const ControlFrame nack = ControlFrame::of_rkey(FrameType::kNack, rkey);
     try {
       co_await conn->qp->post_send(0, nack.span());
     } catch (const verbs::VerbsError&) {
@@ -582,7 +543,7 @@ sim::Task RdmaRpcServer::reader_loop(Shard& shard) {
             host_.sched().spawn(fetch_call(conn, rkey, off, len));
             recycle_recv_buffer(shard, conn.get(), rb);
           } else if (type == FrameType::kAck) {
-            const std::uint32_t rkey = parse_ack(frame);
+            const std::uint32_t rkey = parse_rkey(frame);
             auto it = shard.pending_resp.find(rkey);
             if (it != shard.pending_resp.end()) {
               native_.release(it->second);
@@ -627,11 +588,7 @@ sim::Task RdmaRpcServer::ud_reader_loop() {
         std::uint32_t src_host = 0, src_qpn = 0;
         std::memcpy(&src_host, rb->span.data(), 4);
         std::memcpy(&src_qpn, rb->span.data() + 4, 4);
-        std::uint64_t sid = 0;
-        for (std::size_t i = 0; i < 8; ++i) {
-          sid = (sid << 8) | static_cast<std::uint64_t>(frame[1 + i]);
-        }
-        if (!session_.enabled) sid = 0;
+        const std::uint64_t sid = session_.enabled ? frame_word(frame) : 0;
         // One pseudo-connection per datagram: the handler pipeline keys
         // sessions, fences, dedup and the response path off the ConnState,
         // and UD keeps none per client — so each datagram carries its own,
@@ -703,10 +660,7 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     // the RC path (the client's budget keeps *requests* off UD, but a
     // small request may still produce a huge response).
     ++shard.pipeline.stats().ud_resp_oversize;
-    std::uint64_t id = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      id = (id << 8) | static_cast<std::uint64_t>(msg[1 + i]);
-    }
+    const std::uint64_t id = frame_word(msg);
     native_.release(buf);
     RDMAOutputStream err(host_.cost(), shadow_, rpc::MethodKey{"__ud", "oversize"});
     write_status(err, id, rpc::RpcStatus::kError, "response exceeds the UD datagram MTU");
@@ -931,21 +885,16 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
 sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
   const cluster::CostModel& cm = host_.cost();
   ConnPtr conn = call.conn;
-  if (call.via_ud) {
-    // One kResp datagram back to the GRH source; no response batching (a
-    // pseudo-connection has no batcher) and no rendezvous (no QP to READ
-    // over) — oversize responses bounce inside ud_respond.
-    co_await host_.compute(out.take_accrued() + cm.jni_call() + cm.rpc_framework());
-    const std::size_t len = out.length();
-    const net::ByteSpan msg = out.data();
-    NativeBuffer* buf = out.take_buffer();
-    shadow_.update_history(out.key(), len);
-    co_await ud_respond(call, buf, msg);
-    co_return;
-  }
-  const std::size_t batch_limit = std::min(batch_.max_bytes, conn->eager_threshold);
+  // Batch frames ride the eager path, so the whole frame must fit the
+  // client's pre-posted receive buffers: clamp it to the negotiated
+  // threshold. Responses only need to cover handler-completion stagger,
+  // not caller phase alignment: cap the linger at a quarter of the
+  // configured one (mirrors the socket Responder). A UD pseudo-connection
+  // has no batcher.
+  const rpc::CoalesceLimits limits{std::min(batch_.max_bytes, conn->eager_threshold),
+                                   batch_.linger / 4};
   if (conn->batcher != nullptr && batch_.batchable(out.length()) &&
-      out.length() <= batch_limit) {
+      out.length() <= limits.frame_bytes) {
     // Coalesced path: copy the frame out so the stream's pooled buffer
     // returns immediately (via its destructor) and skip the per-response
     // doorbell — the flush pays one JNI crossing for the whole batch.
@@ -954,7 +903,8 @@ sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
     co_await host_.compute(cost);
     shadow_.update_history(out.key(), out.length());
     net::Bytes payload(out.data().begin(), out.data().end());
-    co_await append_response(conn, std::move(payload));
+    ResponseSink sink{this, conn, alive_};
+    co_await conn->batcher->add(sink, std::move(payload), trace::TraceContext{}, limits);
     co_return;
   }
   co_await host_.compute(out.take_accrued() + cm.jni_call() + cm.rpc_framework());
@@ -962,24 +912,7 @@ sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
   const net::ByteSpan msg = out.data();
   NativeBuffer* buf = out.take_buffer();
   shadow_.update_history(out.key(), len);
-  Shard& shard = shard_of(*conn);
-  try {
-    if (len <= conn->eager_threshold) {
-      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf), msg);
-      // Released by reader_loop at the kSend completion.
-    } else {
-      shard.pending_resp[buf->mr.rkey] = buf;
-      const ControlFrame ctrl = ControlFrame::make(
-          FrameType::kCtrlResp, buf->mr.rkey,
-          static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
-          static_cast<std::uint32_t>(len));
-      co_await call.conn->qp->post_send(0, ctrl.span());
-    }
-  } catch (const verbs::VerbsError&) {
-    shard.pending_resp.erase(buf->mr.rkey);
-    native_.release(buf);
-    throw;
-  }
+  co_await send_response(call, buf, msg);
 }
 
 sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame) {
@@ -987,22 +920,28 @@ sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame
   NativeBuffer* buf = shadow_.acquire_sized(frame.size());
   std::memcpy(buf->span.data(), frame.data(), frame.size());
   co_await host_.compute(cm.direct_copy(frame.size()) + cm.jni_call() + cm.rpc_framework());
+  co_await send_response(call, buf, net::ByteSpan(buf->span.data(), frame.size()));
+}
+
+sim::Co<void> RdmaRpcServer::send_response(ServerCall& call, NativeBuffer* buf,
+                                           net::ByteSpan msg) {
   if (call.via_ud) {
-    co_await ud_respond(call, buf, net::ByteSpan(buf->span.data(), frame.size()));
+    // One kResp datagram back to the GRH source; no rendezvous (no QP to
+    // READ over) — oversize responses bounce inside ud_respond.
+    co_await ud_respond(call, buf, msg);
     co_return;
   }
   Shard& shard = shard_of(*call.conn);
   try {
-    if (frame.size() <= call.conn->eager_threshold) {
-      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf),
-                                        net::ByteSpan(buf->span.data(), frame.size()));
+    if (msg.size() <= call.conn->eager_threshold) {
+      co_await call.conn->qp->post_send(reinterpret_cast<std::uint64_t>(buf), msg);
       // Released by reader_loop at the kSend completion.
     } else {
       shard.pending_resp[buf->mr.rkey] = buf;
       const ControlFrame ctrl = ControlFrame::make(
           FrameType::kCtrlResp, buf->mr.rkey,
-          static_cast<std::uint64_t>(buf->span.data() - buf->mr.addr),
-          static_cast<std::uint32_t>(frame.size()));
+          static_cast<std::uint64_t>(msg.data() - buf->mr.addr),
+          static_cast<std::uint32_t>(msg.size()));
       co_await call.conn->qp->post_send(0, ctrl.span());
     }
   } catch (const verbs::VerbsError&) {
@@ -1012,83 +951,35 @@ sim::Co<void> RdmaRpcServer::respond_frame(ServerCall& call, net::ByteSpan frame
   }
 }
 
-sim::Co<void> RdmaRpcServer::append_response(ConnPtr conn, net::Bytes payload) {
-  rpc::CallBatcher& b = *conn->batcher;
-  // Batch frames ride the eager path, so the whole frame must fit the
-  // client's pre-posted receive buffers: clamp to the negotiated threshold.
-  const std::size_t limit = std::min(batch_.max_bytes, conn->eager_threshold);
-  if (b.would_overflow(payload.size(), limit)) co_await flush_response_batch(conn);
-  const bool was_empty = b.empty();
-  b.append(std::move(payload), host_.sched().now());
-  if (b.full() || b.bytes() >= limit) {
-    co_await flush_response_batch(conn);
-  } else if (was_empty) {
-    // Responses only need to cover handler-completion stagger, not caller
-    // phase alignment: cap the wait at a quarter of the configured linger
-    // (mirrors the socket Responder).
-    const sim::Dur linger = std::min(b.adaptive_linger(), batch_.linger / 4);
-    host_.sched().spawn(response_batch_timer(conn, b.epoch(), linger));
-  }
-}
-
-sim::Task RdmaRpcServer::response_batch_timer(ConnPtr conn, std::uint64_t epoch,
-                                              sim::Dur linger) {
-  // A zero linger still suspends one scheduler tick, so same-timestamp
-  // responses coalesce while a lone response flushes "now".
-  sim::Scheduler& sched = host_.sched();
-  const std::shared_ptr<bool> alive = alive_;
-  co_await sim::delay(sched, linger);
-  if (!*alive) co_return;  // server stopped while we lingered
-  const rpc::CallBatcher& b = *conn->batcher;
-  if (b.empty() || b.epoch() != epoch) co_return;  // a full() flush beat us
-  co_await flush_response_batch(conn);
-}
-
-sim::Co<void> RdmaRpcServer::flush_response_batch(ConnPtr conn) {
-  rpc::CallBatcher& b = *conn->batcher;
-  if (b.empty()) co_return;
-  const cluster::CostModel& cm = host_.cost();
-  const std::shared_ptr<bool> alive = alive_;
+sim::Co<bool> RdmaRpcServer::ResponseSink::flush(rpc::CallBatcher& b, rpc::FlushReason) {
+  const cluster::CostModel& cm = server->host_.cost();
   // Take the items before any suspension so a concurrent limit-flush
-  // can't double-send them.
-  std::vector<net::Bytes> items = b.take();
-  std::size_t payload_bytes = 0;
-  for (const net::Bytes& m : items) payload_bytes += m.size();
-  // [u8 kBatch][u32 count][u32 len_i x count][kResp sub-frames...] encoded
-  // straight into a pooled registered buffer — one doorbell for the lot.
-  const std::size_t total = 5 + 4 * items.size() + payload_bytes;
-  NativeBuffer* fb = shadow_.acquire_sized(total);
-  net::Byte* p = fb->span.data();
-  p[0] = static_cast<net::Byte>(FrameType::kBatch);
-  const std::uint32_t count = static_cast<std::uint32_t>(items.size());
-  std::memcpy(p + 1, &count, 4);
-  std::size_t off = 5 + 4 * items.size();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint32_t len = static_cast<std::uint32_t>(items[i].size());
-    std::memcpy(p + 5 + 4 * i, &len, 4);
-    std::memcpy(p + off, items[i].data(), items[i].size());
-    off += items[i].size();
-  }
-  const sim::Dur encode_cost = cm.direct_copy(total) + cm.jni_call();
-  co_await host_.compute(encode_cost);
+  // can't double-send them; encode straight into a pooled registered
+  // buffer — one doorbell for the lot.
+  const rpc::Batch batch = b.take();
+  const std::size_t total = batch_frame_bytes(batch.items.size(), batch.bytes);
+  NativeBuffer* fb = server->shadow_.acquire_sized(total);
+  write_batch_frame(fb->span.data(), batch.items);
+  co_await server->host_.compute(cm.direct_copy(total) + cm.jni_call());
   if (!*alive) {
     // Server stopped while we computed; the pool outlives stop(), so the
     // lease can still go back.
-    native_.release(fb);
-    co_return;
+    server->native_.release(fb);
+    co_return true;
   }
   try {
     const net::ByteSpan wire(fb->span.data(), total);
     co_await conn->qp->post_send(reinterpret_cast<std::uint64_t>(fb), wire);
     // fb is released by reader_loop at the kSend completion (even wr_id).
   } catch (const verbs::VerbsError&) {
-    native_.release(fb);
-    co_return;
+    server->native_.release(fb);
+    co_return true;
   }
-  if (!*alive) co_return;
-  Shard& shard = shard_of(*conn);
+  if (!*alive) co_return true;
+  Shard& shard = server->shard_of(*conn);
   ++shard.pipeline.stats().response_batches;
-  shard.pipeline.stats().batched_responses += count;
+  shard.pipeline.stats().batched_responses += batch.items.size();
+  co_return true;
 }
 
 }  // namespace rpcoib::oib

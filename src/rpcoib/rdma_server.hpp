@@ -173,6 +173,9 @@ class RdmaRpcServer final : public rpc::RpcServer {
   sim::Co<void> respond(ServerCall& call, RDMAOutputStream& out);
   /// Send an already-framed response verbatim (retry-cache dedup hits).
   sim::Co<void> respond_frame(ServerCall& call, net::ByteSpan frame);
+  /// Put one encoded response in `buf` on the wire: a datagram for a UD
+  /// call, an eager SEND or a kCtrlResp rendezvous otherwise.
+  sim::Co<void> send_response(ServerCall& call, NativeBuffer* buf, net::ByteSpan msg);
   /// Admit `call` into its home shard's pipeline (pre-parsing the header
   /// for the admission gate when one is configured).
   sim::Co<void> enqueue_call(ServerCall call);
@@ -192,14 +195,17 @@ class RdmaRpcServer final : public rpc::RpcServer {
   void note_ring_bytes(Shard& shard, std::size_t n);
   /// The home shard of a connection (CQ, pipeline, pending_resp...).
   Shard& shard_of(const ConnState& conn) { return *shards_[conn.shard]; }
-  /// Buffer one serialized small kResp frame for `conn`; flushes inline
-  /// when a limit fills, otherwise arms the adaptive-linger timer.
-  sim::Co<void> append_response(ConnPtr conn, net::Bytes payload);
-  /// Post everything buffered for `conn` as one kBatch SEND.
-  sim::Co<void> flush_response_batch(ConnPtr conn);
-  /// Delayed flush armed per batch; stands down if `epoch` already flushed
-  /// or the server stopped (checked through the `alive_` token).
-  sim::Task response_batch_timer(ConnPtr conn, std::uint64_t epoch, sim::Dur linger);
+  /// Coalescer sink of one connection's responses (rpc::CallBatcher::add):
+  /// posts the batch as one kBatch SEND. It keeps no append guard — after
+  /// stop() its flush and linger timer stand down on the alive token.
+  struct ResponseSink {
+    RdmaRpcServer* server;
+    ConnPtr conn;
+    std::shared_ptr<bool> alive;
+    rpc::CallBatcher* batcher() { return *alive ? conn->batcher.get() : nullptr; }
+    void appended() {}
+    sim::Co<bool> flush(rpc::CallBatcher& b, rpc::FlushReason why);
+  };
 
   cluster::Host& host_;
   net::SocketTable& sockets_;

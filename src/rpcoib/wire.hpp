@@ -42,6 +42,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "net/bytes.hpp"
 
 namespace rpcoib::oib {
 
@@ -61,6 +65,78 @@ enum class FrameType : std::uint8_t {
   kStreamFetch = 12,
   kUdCall = 13,
 };
+
+/// kUdCall wrapper: [u8 type][u64 session id, big-endian][inner frame].
+inline constexpr std::size_t kUdHeaderBytes = 9;
+
+/// Fixed-layout control frame (kCtrlCall/kCtrlResp, kAck/kNack): trivially
+/// destructible (safe as a co_await temporary), copied by post_send.
+struct ControlFrame {
+  net::Byte bytes[17];
+  std::size_t len = 0;
+
+  /// [u8 type][u32 rkey][u64 offset][u32 len] — a rendezvous fetch.
+  static ControlFrame make(FrameType t, std::uint32_t rkey, std::uint64_t off,
+                           std::uint32_t payload_len) {
+    ControlFrame f = of_rkey(t, rkey);
+    std::memcpy(f.bytes + 5, &off, 8);
+    std::memcpy(f.bytes + 13, &payload_len, 4);
+    f.len = 17;
+    return f;
+  }
+  /// [u8 type][u32 rkey] — kAck / kNack.
+  static ControlFrame of_rkey(FrameType t, std::uint32_t rkey) {
+    ControlFrame f;
+    f.bytes[0] = static_cast<net::Byte>(t);
+    std::memcpy(f.bytes + 1, &rkey, 4);
+    f.len = 5;
+    return f;
+  }
+  net::ByteSpan span() const { return net::ByteSpan(bytes, len); }
+};
+
+inline std::uint32_t parse_rkey(net::ByteSpan frame) {
+  std::uint32_t rkey = 0;
+  std::memcpy(&rkey, frame.data() + 1, 4);
+  return rkey;
+}
+
+inline void parse_control(net::ByteSpan frame, std::uint32_t& rkey, std::uint64_t& off,
+                          std::uint32_t& len) {
+  rkey = parse_rkey(frame);
+  std::memcpy(&off, frame.data() + 5, 8);
+  std::memcpy(&len, frame.data() + 13, 4);
+}
+
+/// The big-endian u64 after the type byte: a kResp frame's call id, a
+/// kUdCall datagram's session id.
+inline std::uint64_t frame_word(net::ByteSpan frame) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) v = (v << 8) | static_cast<std::uint64_t>(frame[1 + i]);
+  return v;
+}
+
+/// Size of a kBatch frame carrying `count` sub-frames of `payload_bytes`
+/// in total.
+inline std::size_t batch_frame_bytes(std::size_t count, std::size_t payload_bytes) {
+  return 5 + 4 * count + payload_bytes;
+}
+
+/// Encode [u8 kBatch][u32 count][u32 len_i x count][sub-frame_i...] at `dst`
+/// (batch_frame_bytes() long). The one kBatch encoder: RC client, UD client
+/// (after its kUdCall prefix) and server.
+inline void write_batch_frame(net::Byte* dst, const std::vector<net::Bytes>& frames) {
+  dst[0] = static_cast<net::Byte>(FrameType::kBatch);
+  const std::uint32_t count = static_cast<std::uint32_t>(frames.size());
+  std::memcpy(dst + 1, &count, 4);
+  std::size_t off = 5 + 4 * frames.size();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::uint32_t len = static_cast<std::uint32_t>(frames[i].size());
+    std::memcpy(dst + 5 + 4 * i, &len, 4);
+    std::memcpy(dst + off, frames[i].data(), frames[i].size());
+    off += frames[i].size();
+  }
+}
 
 struct WireDefaults {
   /// Eager/rendezvous switch point (tunable, Section III-D).

@@ -2,7 +2,8 @@
 // shared connection ride multi-call frames on both transports, sparse
 // callers flush immediately (adaptive linger collapses to zero), the
 // default-off knob leaves the seed's one-frame-per-call path untouched,
-// and batched runs stay seed-deterministic.
+// and batched runs stay seed-deterministic. The coalescing policy itself
+// (rpc::CallBatcher) is also pinned alone, against a fake sink.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -195,6 +196,143 @@ TEST(Batching, SharedConnectionThroughputImprovesWhenBatched) {
   const double batched = workloads::run_shared_throughput(
       RpcMode::kSocketIPoIB, on, 16, 2, 64, /*duration_ms=*/40);
   EXPECT_GT(batched, plain * 1.4);
+}
+
+// --- The coalescing policy alone (rpc::CallBatcher against a fake sink) ---
+
+struct FlushRecord {
+  rpc::FlushReason why;
+  std::size_t items;
+  sim::Time at;
+};
+
+struct FakeSite {
+  FakeSite(Scheduler& s, rpc::BatchConfig cfg) : sched(s), batcher(s, cfg) {}
+  Scheduler& sched;
+  rpc::CallBatcher batcher;
+  bool open = true;
+  bool close_on_flush = false;
+  int appended = 0;
+  std::vector<FlushRecord> flushes;
+};
+
+struct FakeSink {
+  FakeSite* site;
+  rpc::CallBatcher* batcher() { return site->open ? &site->batcher : nullptr; }
+  void appended() { ++site->appended; }
+  Co<bool> flush(rpc::CallBatcher& b, rpc::FlushReason why) {
+    site->flushes.push_back({why, b.take().items.size(), site->sched.now()});
+    if (site->close_on_flush) site->open = false;
+    co_return site->open;
+  }
+};
+
+/// Add one `n`-byte message at virtual time `at`.
+Task add_at(FakeSite& site, sim::Time at, std::size_t n, rpc::CoalesceLimits limits) {
+  co_await sim::delay(site.sched, at - site.sched.now());
+  FakeSink sink{&site};
+  net::Bytes msg(n);
+  co_await site.batcher.add(sink, std::move(msg), trace::TraceContext{}, limits);
+}
+
+rpc::BatchConfig coalesce_cfg() {
+  rpc::BatchConfig cfg;
+  cfg.enabled = true;
+  cfg.max_bytes = 1000;
+  cfg.max_calls = 4;
+  cfg.linger = sim::micros(40);
+  return cfg;
+}
+
+TEST(Coalescer, OverflowPreFlushesTheOpenBatchAndCountsItFull) {
+  Scheduler s;
+  FakeSite site(s, coalesce_cfg());
+  const rpc::CoalesceLimits clamp{600};
+  s.spawn(add_at(site, sim::micros(1), 400, clamp));
+  s.spawn(add_at(site, sim::micros(1), 400, clamp));  // 800 > 600: pre-flush
+  s.run();
+  ASSERT_EQ(site.flushes.size(), 2u);
+  EXPECT_EQ(site.flushes[0].why, rpc::FlushReason::kFull);
+  EXPECT_EQ(site.flushes[0].items, 1u);
+  // The second message opened a new batch; its zero linger flushed it on
+  // the next tick, and the first batch's timer stood down by epoch.
+  EXPECT_EQ(site.flushes[1].why, rpc::FlushReason::kImmediate);
+  EXPECT_EQ(site.flushes[1].items, 1u);
+  EXPECT_EQ(site.appended, 2);
+}
+
+TEST(Coalescer, ClosedSiteDropsTheMessageAfterItsPreFlush) {
+  Scheduler s;
+  FakeSite site(s, coalesce_cfg());
+  site.close_on_flush = true;
+  const rpc::CoalesceLimits clamp{600};
+  s.spawn(add_at(site, sim::micros(1), 400, clamp));
+  s.spawn(add_at(site, sim::micros(1), 400, clamp));
+  s.run();
+  ASSERT_EQ(site.flushes.size(), 1u);  // the timer found the site gone
+  EXPECT_EQ(site.flushes[0].why, rpc::FlushReason::kFull);
+  EXPECT_EQ(site.appended, 1);
+  EXPECT_TRUE(site.batcher.empty());
+}
+
+TEST(Coalescer, UnclampedLimitNeverPreFlushes) {
+  // The socket rule: no frame clamp, so the message that crosses
+  // max_bytes joins the batch and the full batch flushes after it.
+  Scheduler s;
+  FakeSite site(s, coalesce_cfg());
+  s.spawn(add_at(site, sim::micros(1), 600, {}));
+  s.spawn(add_at(site, sim::micros(1), 600, {}));
+  s.run();
+  ASSERT_EQ(site.flushes.size(), 1u);
+  EXPECT_EQ(site.flushes[0].why, rpc::FlushReason::kFull);
+  EXPECT_EQ(site.flushes[0].items, 2u);
+}
+
+TEST(Coalescer, FullFlushMakesTheArmedLingerTimerStandDown) {
+  Scheduler s;
+  FakeSite site(s, coalesce_cfg());
+  // A lone first arrival flushes on the next tick; from the second on the
+  // arrivals are 1 us apart, so the batch they open arms the full 40 us
+  // linger — and fills (max_calls = 4) long before it expires.
+  for (int i = 1; i <= 5; ++i) s.spawn(add_at(site, sim::micros(i), 64, {}));
+  s.run();
+  ASSERT_EQ(site.flushes.size(), 2u);
+  EXPECT_EQ(site.flushes[0].why, rpc::FlushReason::kImmediate);
+  EXPECT_EQ(site.flushes[0].items, 1u);
+  EXPECT_EQ(site.flushes[1].why, rpc::FlushReason::kFull);
+  EXPECT_EQ(site.flushes[1].items, 4u);
+  EXPECT_EQ(site.flushes[1].at, sim::micros(5));
+  // The timer armed at 2 us woke at 42 us and found its epoch flushed.
+  EXPECT_EQ(s.now(), sim::micros(42));
+}
+
+TEST(Coalescer, SameTickArrivalsShareOneZeroLingerFlush) {
+  Scheduler s;
+  FakeSite site(s, coalesce_cfg());
+  for (int i = 0; i < 3; ++i) s.spawn(add_at(site, sim::micros(1), 64, {}));
+  s.run();
+  ASSERT_EQ(site.flushes.size(), 1u);
+  EXPECT_EQ(site.flushes[0].why, rpc::FlushReason::kImmediate);
+  EXPECT_EQ(site.flushes[0].items, 3u);
+  EXPECT_EQ(site.flushes[0].at, sim::micros(1));
+}
+
+TEST(Coalescer, ServerLingerIsCappedAtAQuarter) {
+  for (const bool server : {false, true}) {
+    SCOPED_TRACE(server ? "server" : "client");
+    Scheduler s;
+    const rpc::BatchConfig cfg = coalesce_cfg();
+    FakeSite site(s, cfg);
+    rpc::CoalesceLimits limits;
+    if (server) limits.linger_cap = cfg.linger / 4;
+    // The second arrival (1 us after the first) arms a lingering timer.
+    s.spawn(add_at(site, sim::micros(1), 64, limits));
+    s.spawn(add_at(site, sim::micros(2), 64, limits));
+    s.run();
+    ASSERT_EQ(site.flushes.size(), 2u);
+    EXPECT_EQ(site.flushes[1].why, rpc::FlushReason::kLinger);
+    EXPECT_EQ(site.flushes[1].at, sim::micros(2) + (server ? cfg.linger / 4 : cfg.linger));
+  }
 }
 
 // --- Teardown and per-sub-call deadline semantics ---------------------------

@@ -1,6 +1,8 @@
 // The transport-independent server call pipeline (rpc/pipeline.hpp): the
 // admission gate, the dequeue screen's verdicts and their counters, and the
 // outcome record — driven with a minimal fake call, no transport at all.
+// The call header both clients write (write_call_head) against the reader
+// the servers share (read_call_head).
 // Plus the restart path both servers share: back-to-back stop()/start()
 // with handlers parked must neither touch a destroyed run's queues nor
 // break the next call.
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "net/testbed.hpp"
+#include "rpc/buffers.hpp"
 #include "rpc/pipeline.hpp"
 #include "rpc/socket_client.hpp"
 #include "rpc/socket_server.hpp"
@@ -230,6 +233,81 @@ TEST(Pipeline, GateEvictsTheOldestUnderRejectOldest) {
   ASSERT_TRUE(pipeline.queue().try_recv(left));
   EXPECT_EQ(left.tag, 2);
   EXPECT_EQ(pipeline.counters().dispatched, 2u);
+}
+
+// --- The call header ---------------------------------------------------------
+
+// Every trace/deadline/retry combination round-trips through
+// write_call_head -> read_call_head, writes the flagged layout word by word,
+// and accrues exactly the cost of those primitive writes on the same kind
+// of stream (including a DataOutputBuffer's Algorithm-1 growth).
+template <typename MakeStream>
+void check_call_head_round_trip(const cluster::CostModel& cm, MakeStream make) {
+  const rpc::MethodKey key{"test.HeadProtocol", "getBlockLocations"};
+  constexpr std::uint64_t kId = 0x1234;
+  for (int combo = 0; combo < 8; ++combo) {
+    const bool traced = (combo & 1) != 0;
+    const bool with_deadline = (combo & 2) != 0;
+    const bool retried = (combo & 4) != 0;
+    SCOPED_TRACE("traced=" + std::to_string(traced) +
+                 " deadline=" + std::to_string(with_deadline) +
+                 " retried=" + std::to_string(retried));
+    const trace::TraceContext ctx =
+        traced ? trace::TraceContext{0xABCDEF, 0x42} : trace::TraceContext{};
+    const sim::Time deadline = with_deadline ? sim::millis(250) : 0;
+
+    auto out = make();
+    out->take_accrued();  // construction cost is not the header's
+    rpc::write_call_head(*out, kId, ctx, deadline, retried, key);
+
+    // The same header as individual primitive writes.
+    auto ref = make();
+    ref->take_accrued();
+    std::uint64_t wire_id = kId;
+    if (traced) wire_id |= trace::kWireTraceFlag;
+    if (with_deadline) wire_id |= trace::kWireDeadlineFlag;
+    if (retried) wire_id |= trace::kWireRetryFlag;
+    ref->write_u64(wire_id);
+    if (traced) {
+      ref->write_u64(ctx.trace_id);
+      ref->write_u64(ctx.span_id);
+    }
+    if (with_deadline) ref->write_u64(deadline);
+    ref->write_text(key.protocol);
+    ref->write_text(key.method);
+
+    const net::ByteSpan bytes = out->data();
+    const net::ByteSpan ref_bytes = ref->data();
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), ref_bytes.begin(), ref_bytes.end()));
+    EXPECT_EQ(out->take_accrued(), ref->take_accrued());
+
+    rpc::DataInputBuffer in(cm, bytes);
+    const CallHead h = rpc::read_call_head(in);
+    EXPECT_EQ(in.remaining(), 0u);
+    EXPECT_EQ(h.id, kId);
+    EXPECT_EQ(h.ctx, ctx);
+    EXPECT_EQ(h.deadline, deadline);
+    EXPECT_EQ(h.retried, retried);
+    EXPECT_EQ(h.key, key);
+  }
+}
+
+TEST(CallHead, RoundTripsEveryFlagCombinationOnADataOutputBuffer) {
+  const cluster::CostModel cm;
+  check_call_head_round_trip(cm, [&] { return std::make_unique<rpc::DataOutputBuffer>(cm); });
+}
+
+TEST(CallHead, RoundTripsEveryFlagCombinationOnAnRdmaOutputStream) {
+  Scheduler s;
+  net::Testbed tb(s, net::Testbed::cluster_b());
+  verbs::VerbsStack stack(tb.fabric());
+  oib::NativeBufferPool pool(tb.host(0), stack, oib::PoolConfig{});
+  oib::ShadowPool shadow(pool);
+  const cluster::CostModel& cm = tb.host(0).cost();
+  const rpc::MethodKey stream_key{"test.HeadProtocol", "stream"};
+  check_call_head_round_trip(cm, [&] {
+    return std::make_unique<oib::RDMAOutputStream>(cm, shadow, stream_key);
+  });
 }
 
 // --- Restart with parked handlers -------------------------------------------
