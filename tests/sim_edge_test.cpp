@@ -3,6 +3,7 @@
 // reuse, drain semantics, scheduler termination, and host resources.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "cluster/host.hpp"
@@ -194,6 +195,49 @@ TEST(HostEdge, ComputeBoundedByCoreCount) {
   // compute (the counter brackets compute, so peak counts waiters too —
   // assert the makespan instead).
   EXPECT_EQ(s.now(), micros(300));
+}
+
+// Golden schedule of Host::compute under contention: five workers on two
+// cores, with zero, 3, 5 and 7 ns charges, interleaved with a plain timer.
+// A core is reserved for the head waiter at release, granted at a
+// same-time event, and the waiter's delay is scheduled from that grant; a
+// finishing charge releases its core before its caller resumes. Every
+// resume time, the resume order and the event count are pinned, so any
+// change to that (at, seq) schedule fails here.
+Task golden_worker(cluster::Host& h, int id, std::vector<Dur> charges,
+                   std::vector<std::pair<int, Time>>& log) {
+  for (const Dur d : charges) {
+    co_await h.compute(d);
+    log.emplace_back(id, h.sched().now());
+  }
+}
+
+Task golden_ticker(Scheduler& s, std::vector<std::pair<int, Time>>& log) {
+  for (const Dur d : {Dur{3}, Dur{2}, Dur{2}, Dur{3}}) {
+    co_await delay(s, d);
+    log.emplace_back(9, s.now());
+  }
+}
+
+TEST(HostEdge, ComputeKeepsItsGoldenScheduleUnderContention) {
+  Scheduler s;
+  net::TestbedConfig cfg = net::Testbed::cluster_b();
+  cfg.cores_per_node = 2;
+  net::Testbed tb(s, cfg);
+  cluster::Host& h = tb.host(0);
+  std::vector<std::pair<int, Time>> log;
+  s.spawn(golden_worker(h, 0, {3, 0, 5}, log));
+  s.spawn(golden_worker(h, 1, {7, 3}, log));
+  s.spawn(golden_ticker(s, log));
+  s.spawn(golden_worker(h, 2, {5, 5}, log));
+  s.spawn(golden_worker(h, 3, {0, 7, 0}, log));
+  s.spawn(golden_worker(h, 4, {3, 3, 3}, log));
+  s.run();
+  const std::vector<std::pair<int, Time>> golden = {
+      {3, 0},  {0, 3},  {0, 3},  {9, 3},  {9, 5},  {1, 7},  {9, 7},  {2, 8},  {9, 10},
+      {4, 11}, {3, 14}, {3, 14}, {0, 16}, {1, 17}, {4, 20}, {2, 21}, {4, 23}};
+  EXPECT_EQ(log, golden);
+  EXPECT_EQ(s.events_processed(), 27u);
 }
 
 }  // namespace

@@ -315,6 +315,37 @@ sim::Time ud_arrival(std::size_t payload_bytes) {
   return arrived;
 }
 
+Task cq_waiter(CompletionQueue& cq, bool& closed) {
+  try {
+    const WorkCompletion wc = co_await cq.wait();
+    (void)wc;
+  } catch (const sim::ChannelClosed&) {
+    closed = true;
+  }
+}
+
+TEST(CompletionQueue, WaitThrowsChannelClosedAfterCloseOnAnEmptyQueue) {
+  Scheduler s;
+  CompletionQueue cq(s);
+  cq.close();
+  bool closed = false;
+  s.spawn(cq_waiter(cq, closed));
+  s.run();
+  EXPECT_TRUE(closed);
+}
+
+TEST(CompletionQueue, CloseReleasesASuspendedWaiterWithChannelClosed) {
+  Scheduler s;
+  CompletionQueue cq(s);
+  bool closed = false;
+  s.spawn(cq_waiter(cq, closed));
+  s.run();
+  EXPECT_FALSE(closed);
+  cq.close();
+  s.run();
+  EXPECT_TRUE(closed);
+}
+
 // Regression: the wire charge once read the payload size in the same
 // argument list that moved the payload, so under GCC every datagram was
 // charged as an empty one (GRH only), whatever its size.
