@@ -5,12 +5,12 @@ Usage:
     python3 ci/host_rss.py REPORT NAME -- CMD [ARG ...]
 
 Runs CMD, then appends the line
-"NAME max_rss_kb=N minflt=F sys_s=S" to REPORT: the child's own peak
-resident set size, minor page faults and system CPU seconds (from wait4,
-so earlier commands do not leak into them). The command's stdout and
-stderr pass through untouched, and the exit code is the command's. The
-report is kept apart from the bench JSONs so those stay byte-identical
-across host-only changes; nothing gates on it.
+"NAME max_rss_kb=N minflt=F user_s=U sys_s=S" to REPORT: the child's
+own peak resident set size, minor page faults, user and system CPU
+seconds (from wait4, so earlier commands do not leak into them). The
+command's stdout and stderr pass through untouched, and the exit code is
+the command's. The report is kept apart from the bench JSONs so those
+stay byte-identical across host-only changes; nothing gates on it.
 """
 import os
 import sys
@@ -28,8 +28,8 @@ def main(argv):
             os._exit(127)
     _, status, usage = os.wait4(pid, 0)
     with open(report, "a") as f:
-        f.write("%s max_rss_kb=%d minflt=%d sys_s=%.3f\n"
-                % (name, usage.ru_maxrss, usage.ru_minflt, usage.ru_stime))
+        f.write("%s max_rss_kb=%d minflt=%d user_s=%.3f sys_s=%.3f\n"
+                % (name, usage.ru_maxrss, usage.ru_minflt, usage.ru_utime, usage.ru_stime))
     return os.waitstatus_to_exitcode(status)
 
 

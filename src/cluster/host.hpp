@@ -7,13 +7,14 @@
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
+#include <deque>
 #include <string>
 #include <utility>
 
 #include "cluster/cost_model.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -35,7 +36,7 @@ class Host {
         name_(std::move(name)),
         cost_(cost),
         rng_(rng),
-        cores_(sched, cores) {}
+        free_cores_(cores) {}
 
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
@@ -50,17 +51,32 @@ class Host {
   trace::TraceCollector* tracer() const { return tracer_; }
   void set_tracer(trace::TraceCollector* t) { tracer_ = t; }
 
-  /// Occupy one CPU core for `d` of virtual time (queueing if all cores
-  /// are busy). Zero-duration charges return immediately without touching
-  /// the core semaphore.
-  sim::Co<void> compute(sim::Dur d) {
-    if (d > 0) {
-      co_await cores_.acquire();
-      co_await sim::delay(sched_, d);
-      cores_.release();
+  /// `co_await compute(d)`: occupy one CPU core for `d` of virtual time,
+  /// queueing FIFO while all cores are busy. Zero-duration charges return
+  /// immediately without touching the cores. A plain awaiter, so a charge
+  /// allocates no coroutine frame; the schedule is that of a counting
+  /// semaphore plus a delay (DESIGN.md "Frame-free waits"): a free core
+  /// starts the delay at once; a release hands its core to the head
+  /// waiter, whose grant runs as a same-time event and schedules the delay
+  /// from there; at expiry the core is released before the caller
+  /// continues.
+  struct ComputeAwaiter {
+    Host& host;
+    sim::Dur d;
+    bool await_ready() const noexcept { return d == 0; }
+    void await_suspend(std::coroutine_handle<> caller) {
+      if (host.free_cores_ > 0) {
+        --host.free_cores_;
+        host.sched_.resume_after(d, caller);
+      } else {
+        host.core_waiters_.push_back(CoreWaiter{caller, d});
+      }
     }
-    co_return;
-  }
+    void await_resume() const {
+      if (d > 0) host.release_core();
+    }
+  };
+  ComputeAwaiter compute(sim::Dur d) { return ComputeAwaiter{*this, d}; }
 
   /// Simulated disk: sequential bandwidth of the testbed's single HDD.
   sim::Dur disk_time(std::size_t bytes) const {
@@ -79,12 +95,30 @@ class Host {
   }
 
  private:
+  struct CoreWaiter {
+    std::coroutine_handle<> h;
+    sim::Dur d;
+  };
+
+  /// A finishing charge's core goes to the head waiter, reserved now so a
+  /// same-time charge cannot take it before the grant runs.
+  void release_core() {
+    if (core_waiters_.empty()) {
+      ++free_cores_;
+      return;
+    }
+    const CoreWaiter w = core_waiters_.front();
+    core_waiters_.pop_front();
+    sched_.call_at(sched_.now(), [this, w] { sched_.resume_after(w.d, w.h); });
+  }
+
   sim::Scheduler& sched_;
   HostId id_;
   std::string name_;
   CostModel cost_;
   sim::Rng rng_;
-  sim::Semaphore cores_;
+  int free_cores_;
+  std::deque<CoreWaiter> core_waiters_;
   trace::TraceCollector* tracer_ = nullptr;
   double disk_bw_gbps_ = 0.11;  // ~110 MB/s HDD, per the testbed's single disk
   sim::Time disk_free_ = 0;

@@ -84,25 +84,29 @@ class DataOutputBuffer final : public DataOutput {
 };
 
 /// Reads from a borrowed byte range (Hadoop DataInputBuffer /
-/// ByteArrayInputStream). The referenced bytes must outlive the reader.
+/// ByteArrayInputStream). The referenced bytes must outlive the reader;
+/// they are the get area.
 class DataInputBuffer final : public DataInput {
  public:
   DataInputBuffer(const cluster::CostModel& cm, net::ByteSpan data)
-      : DataInput(cm), data_(data) {}
+      : DataInput(cm), begin_(data.data()) {
+    get_cur_ = data.data();
+    get_end_ = data.data() + data.size();
+  }
 
+  /// Reached only by reads past the end.
   net::ByteSpan read_view(std::size_t n) override {
     if (n > remaining()) throw SerializationError("read past end of buffer");
-    const net::ByteSpan v = data_.subspan(pos_, n);
-    pos_ += n;
+    const net::ByteSpan v(get_cur_, n);
+    get_cur_ += n;
     return v;
   }
 
-  std::size_t remaining() const override { return data_.size() - pos_; }
-  std::size_t position() const { return pos_; }
+  std::size_t remaining() const override { return static_cast<std::size_t>(get_end_ - get_cur_); }
+  std::size_t position() const { return static_cast<std::size_t>(get_cur_ - begin_); }
 
  private:
-  net::ByteSpan data_;
-  std::size_t pos_ = 0;
+  const net::Byte* begin_;
 };
 
 /// java.io.BufferedOutputStream: accumulates into a heap buffer; the flush

@@ -12,6 +12,8 @@
 // function, exactly like Hadoop's, while still accounting every copy.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -32,29 +34,59 @@ class SerializationError : public std::runtime_error {
   explicit SerializationError(const std::string& what) : std::runtime_error(what) {}
 };
 
+namespace detail {
+
+template <typename T>
+void store_be(net::Byte* dst, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    dst[i] = static_cast<net::Byte>(v >> (8 * (sizeof(T) - 1 - i)));
+  }
+}
+
+template <typename T>
+T load_be(const net::Byte* src) {
+  T v = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    v = static_cast<T>((v << 8) | src[i]);
+  }
+  return v;
+}
+
+}  // namespace detail
+
 /// Abstract output stream (java.io.DataOutput). Concrete sinks:
 /// DataOutputBuffer (JVM-heap growable buffer, the paper's Algorithm 1),
 /// BufferedOutputStream (socket path), rpcoib::RDMAOutputStream (registered
 /// native buffer).
+///
+/// Put area (opt-in, DESIGN.md "Stream put and get areas"): a sink whose
+/// write_raw cost depends only on the write's size may point
+/// [put_cur_, put_end_) at its free storage and fill put_cost_[n] with
+/// exactly what its write_raw accrues for an n-byte write,
+/// n <= kPutAreaMax. A small write that fits then lands inline and adds
+/// that charge; write_raw sees only writes that do not fit, bulk writes,
+/// and every write of a sink without an area. The sink keeps its own
+/// state in put_cur_ (it is the write position).
 class DataOutput {
  public:
-  explicit DataOutput(const cluster::CostModel& cm) : cm_(cm) {}
+  /// Largest write the put area serves inline.
+  static constexpr std::size_t kPutAreaMax = 16;
+  using PutCosts = std::array<sim::Dur, kPutAreaMax + 1>;
+
+  explicit DataOutput(const cluster::CostModel& cm) : cm_(cm), field_op_(cm.field_op()) {}
   virtual ~DataOutput() = default;
 
   /// Raw byte-range write; concrete sinks implement this.
   virtual void write_raw(net::ByteSpan data) = 0;
 
-  void write_u8(std::uint8_t v) {
-    accrue(cm_.field_op());
-    write_raw(net::ByteSpan(&v, 1));
-  }
+  void write_u8(std::uint8_t v) { put_field(v); }
   void write_bool(bool v) { write_u8(v ? 1 : 0); }
-  void write_u16(std::uint16_t v);
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
+  void write_u16(std::uint16_t v) { put_field(v); }
+  void write_u32(std::uint32_t v) { put_field(v); }
+  void write_u64(std::uint64_t v) { put_field(v); }
   void write_i32(std::int32_t v) { write_u32(static_cast<std::uint32_t>(v)); }
   void write_i64(std::int64_t v) { write_u64(static_cast<std::uint64_t>(v)); }
-  void write_f64(double v);
+  void write_f64(double v) { write_u64(std::bit_cast<std::uint64_t>(v)); }
 
   /// WritableUtils.writeVLong / writeVInt.
   void write_vi64(std::int64_t v);
@@ -68,8 +100,8 @@ class DataOutput {
 
   /// Raw payload write with field-op accounting (DataOutputStream.write).
   void write_payload(net::ByteSpan data) {
-    accrue(cm_.field_op());
-    write_raw(data);
+    accrue(field_op_);
+    put(data.data(), data.size());
   }
 
   // --- modeled cost accrual -------------------------------------------
@@ -82,15 +114,54 @@ class DataOutput {
   sim::Dur accrued() const { return accrued_; }
   const cluster::CostModel& cost_model() const { return cm_; }
 
+ protected:
+  net::Byte* put_cur_ = nullptr;
+  net::Byte* put_end_ = nullptr;
+  PutCosts put_cost_{};
+
  private:
+  /// One fixed-width big-endian field: a field op plus its bytes.
+  template <typename T>
+  void put_field(T v) {
+    accrue(field_op_);
+    if (sizeof(T) <= static_cast<std::size_t>(put_end_ - put_cur_)) {
+      detail::store_be(put_cur_, v);
+      put_cur_ += sizeof(T);
+      accrued_ += put_cost_[sizeof(T)];
+      return;
+    }
+    net::Byte b[sizeof(T)];
+    detail::store_be(b, v);
+    write_raw(net::ByteSpan(b, sizeof(T)));
+  }
+
+  /// `n` bytes, inline when 1 <= n <= kPutAreaMax and they fit (an empty
+  /// write always reaches write_raw, as without an area).
+  void put(const net::Byte* p, std::size_t n) {
+    if (n - 1 < kPutAreaMax && n <= static_cast<std::size_t>(put_end_ - put_cur_)) {
+      std::memcpy(put_cur_, p, n);
+      put_cur_ += n;
+      accrued_ += put_cost_[n];
+      return;
+    }
+    write_raw(net::ByteSpan(p, n));
+  }
+
   const cluster::CostModel& cm_;
+  const sim::Dur field_op_;
   sim::Dur accrued_ = 0;
 };
 
 /// Abstract input stream (java.io.DataInput).
+///
+/// Get area (opt-in, DESIGN.md "Stream put and get areas"): a source
+/// whose read_view accrues nothing may point [get_cur_, get_end_) at its
+/// unread bytes (get_cur_ is then its read position). Reads that fit are
+/// served inline; read_view sees only reads past the end (and throws) and
+/// every read of a source without an area.
 class DataInput {
  public:
-  explicit DataInput(const cluster::CostModel& cm) : cm_(cm) {}
+  explicit DataInput(const cluster::CostModel& cm) : cm_(cm), field_op_(cm.field_op()) {}
   virtual ~DataInput() = default;
 
   /// The next `n` bytes as one contiguous view into the stream's storage,
@@ -100,23 +171,18 @@ class DataInput {
   virtual std::size_t remaining() const = 0;
 
   void read_raw(net::MutByteSpan out) {
-    const net::ByteSpan in = read_view(out.size());
-    if (!in.empty()) std::memcpy(out.data(), in.data(), in.size());
+    const net::Byte* in = take(out.size());
+    if (!out.empty()) std::memcpy(out.data(), in, out.size());
   }
 
-  std::uint8_t read_u8() {
-    accrue(cm_.field_op());
-    std::uint8_t v = 0;
-    read_raw(net::MutByteSpan(&v, 1));
-    return v;
-  }
+  std::uint8_t read_u8() { return get_field<std::uint8_t>(); }
   bool read_bool() { return read_u8() != 0; }
-  std::uint16_t read_u16();
-  std::uint32_t read_u32();
-  std::uint64_t read_u64();
+  std::uint16_t read_u16() { return get_field<std::uint16_t>(); }
+  std::uint32_t read_u32() { return get_field<std::uint32_t>(); }
+  std::uint64_t read_u64() { return get_field<std::uint64_t>(); }
   std::int32_t read_i32() { return static_cast<std::int32_t>(read_u32()); }
   std::int64_t read_i64() { return static_cast<std::int64_t>(read_u64()); }
-  double read_f64();
+  double read_f64() { return std::bit_cast<double>(read_u64()); }
 
   std::int64_t read_vi64();
   std::int32_t read_vi32();
@@ -152,8 +218,30 @@ class DataInput {
   /// handlers can parent their spans (and downstream RPCs) correctly.
   trace::TraceContext trace_context;
 
+ protected:
+  const net::Byte* get_cur_ = nullptr;
+  const net::Byte* get_end_ = nullptr;
+
  private:
+  /// The next `n` bytes, consumed: from the get area when they are there,
+  /// otherwise through read_view.
+  const net::Byte* take(std::size_t n) {
+    if (n <= static_cast<std::size_t>(get_end_ - get_cur_)) {
+      const net::Byte* p = get_cur_;
+      get_cur_ += n;
+      return p;
+    }
+    return read_view(n).data();
+  }
+
+  template <typename T>
+  T get_field() {
+    accrue(field_op_);
+    return detail::load_be<T>(take(sizeof(T)));
+  }
+
   const cluster::CostModel& cm_;
+  const sim::Dur field_op_;
   sim::Dur accrued_ = 0;
   sim::Dur alloc_accrued_ = 0;
 };

@@ -27,6 +27,11 @@ std::optional<rpc::CallHead> peek_call_head(const cluster::CostModel& cm,
   }
 }
 
+// Pool-history keys of the server's own status responses.
+const rpc::MethodKey kBusyKey{"__overload", "busy"};
+const rpc::MethodKey kSessionRejectedKey{"__session", "rejected"};
+const rpc::MethodKey kUdOversizeKey{"__ud", "oversize"};
+
 /// The one builder of status responses: [u8 kResp][u64 id][u8 status][text].
 void write_status(RDMAOutputStream& out, std::uint64_t id, rpc::RpcStatus status,
                   const std::string& msg) {
@@ -662,7 +667,7 @@ sim::Co<void> RdmaRpcServer::ud_respond(ServerCall& call, NativeBuffer* buf,
     ++shard.pipeline.stats().ud_resp_oversize;
     const std::uint64_t id = frame_word(msg);
     native_.release(buf);
-    RDMAOutputStream err(host_.cost(), shadow_, rpc::MethodKey{"__ud", "oversize"});
+    RDMAOutputStream err(host_.cost(), shadow_, kUdOversizeKey);
     write_status(err, id, rpc::RpcStatus::kError, "response exceeds the UD datagram MTU");
     co_await host_.compute(err.take_accrued());
     msg = err.data();
@@ -752,7 +757,7 @@ sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
     }
   }
   try {
-    RDMAOutputStream busy(host_.cost(), shadow_, rpc::MethodKey{"__overload", "busy"});
+    RDMAOutputStream busy(host_.cost(), shadow_, kBusyKey);
     write_status(busy, head.id, rpc::RpcStatus::kBusy, "server busy: call queue full");
     co_await respond(call, busy);
   } catch (const verbs::VerbsError&) {
@@ -798,7 +803,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
           shard.screen(head, call.enqueued, t_dequeue, host_.sched().now(), tr);
       if (screen.verdict == rpc::Verdict::kSessionRejected) {
         try {
-          RDMAOutputStream expired(cm, shadow_, rpc::MethodKey{"__session", "rejected"});
+          RDMAOutputStream expired(cm, shadow_, kSessionRejectedKey);
           write_status(expired, head.id, rpc::RpcStatus::kSessionExpired,
                        "session expired: retry cannot be deduplicated");
           co_await respond(call, expired);
@@ -857,7 +862,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
       try {
         if (pool_busy) {
           const bool send = shard.record(head, rpc::Outcome::kPoolBusy, {}, now, tr);
-          RDMAOutputStream busy(cm, shadow_, rpc::MethodKey{"__overload", "busy"});
+          RDMAOutputStream busy(cm, shadow_, kBusyKey);
           write_status(busy, head.id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
           if (send) co_await respond(call, busy);
         } else if (error) {
@@ -898,13 +903,25 @@ sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
     // Coalesced path: copy the frame out so the stream's pooled buffer
     // returns immediately (via its destructor) and skip the per-response
     // doorbell — the flush pays one JNI crossing for the whole batch.
+    const std::shared_ptr<bool> alive = alive_;
     const sim::Dur cost =
         out.take_accrued() + cm.rpc_framework() + cm.direct_copy(out.length());
     co_await host_.compute(cost);
     shadow_.update_history(out.key(), out.length());
+    if (!*alive) {
+      // stop() already emptied the coalescer; nothing would flush this.
+      ++shard_of(*conn).pipeline.stats().responses_dropped_on_stop;
+      co_return;
+    }
     net::Bytes payload(out.data().begin(), out.data().end());
-    ResponseSink sink{this, conn, alive_};
+    ResponseSink sink{this, conn, alive};
     co_await conn->batcher->add(sink, std::move(payload), trace::TraceContext{}, limits);
+    if (!*alive && !conn->batcher->empty()) {
+      // A pre-flush straddled stop() and this response joined the dead
+      // batch after it.
+      shard_of(*conn).pipeline.stats().responses_dropped_on_stop +=
+          conn->batcher->take().items.size();
+    }
     co_return;
   }
   co_await host_.compute(out.take_accrued() + cm.jni_call() + cm.rpc_framework());
@@ -963,8 +980,9 @@ sim::Co<bool> RdmaRpcServer::ResponseSink::flush(rpc::CallBatcher& b, rpc::Flush
   co_await server->host_.compute(cm.direct_copy(total) + cm.jni_call());
   if (!*alive) {
     // Server stopped while we computed; the pool outlives stop(), so the
-    // lease can still go back.
+    // lease can still go back, and the batch is counted lost.
     server->native_.release(fb);
+    server->shard_of(*conn).pipeline.stats().responses_dropped_on_stop += batch.items.size();
     co_return true;
   }
   try {

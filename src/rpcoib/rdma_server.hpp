@@ -197,7 +197,9 @@ class RdmaRpcServer final : public rpc::RpcServer {
   Shard& shard_of(const ConnState& conn) { return *shards_[conn.shard]; }
   /// Coalescer sink of one connection's responses (rpc::CallBatcher::add):
   /// posts the batch as one kBatch SEND. It keeps no append guard — after
-  /// stop() its flush and linger timer stand down on the alive token.
+  /// stop() its flush and linger timer stand down on the alive token, and
+  /// the flush and respond() count what they then drop in
+  /// responses_dropped_on_stop.
   struct ResponseSink {
     RdmaRpcServer* server;
     ConnPtr conn;

@@ -8,24 +8,44 @@
 // never does this, thanks to message size locality).
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "rpc/writable.hpp"
 #include "rpcoib/buffer_pool.hpp"
 
 namespace rpcoib::oib {
 
+/// The put-area cost table of a stream copying into registered memory:
+/// entry n is direct_copy(n). Built once per cost model seen last (every
+/// host of a run normally shares one) and copied into each stream.
+inline const rpc::DataOutput::PutCosts& direct_copy_costs(const cluster::CostModel& cm) {
+  thread_local rpc::DataOutput::PutCosts table{};
+  thread_local double base_us = -1;
+  thread_local double bw_gbps = -1;
+  if (cm.heap_copy_base_us != base_us || cm.direct_copy_bw_gbps != bw_gbps) {
+    base_us = cm.heap_copy_base_us;
+    bw_gbps = cm.direct_copy_bw_gbps;
+    for (std::size_t n = 0; n < table.size(); ++n) table[n] = cm.direct_copy(n);
+  }
+  return table;
+}
+
 class RDMAOutputStream final : public rpc::DataOutput {
  public:
-  /// Acquires the initial buffer via the shadow pool's history for `key`.
-  RDMAOutputStream(const cluster::CostModel& cm, ShadowPool& pool, rpc::MethodKey key)
-      : rpc::DataOutput(cm), pool_(pool), key_(std::move(key)) {
-    buf_ = pool_.acquire_for(key_);
+  /// Acquires the initial buffer via the shadow pool's history for `key`,
+  /// which must outlive the stream.
+  RDMAOutputStream(const cluster::CostModel& cm, ShadowPool& pool, const rpc::MethodKey& key)
+      : rpc::DataOutput(cm), pool_(pool), key_(key) {
+    put_cost_ = direct_copy_costs(cm);
+    adopt(pool_.acquire_for(key_), 0);
     // Pool acquire is a freelist pop, amortizing the registration done at
     // library load — orders of magnitude below a JVM allocation.
-    accrue(sim::from_us(kAcquireUs));
+    accrue(kAcquireDur);
   }
+  RDMAOutputStream(const cluster::CostModel&, ShadowPool&, rpc::MethodKey&&) = delete;
 
   ~RDMAOutputStream() override {
     // Streams normally hand the buffer to the transport via take_buffer();
@@ -33,15 +53,18 @@ class RDMAOutputStream final : public rpc::DataOutput {
     if (buf_ != nullptr) pool_.release(buf_);
   }
 
+  /// Writes the put area cannot take: empty and bulk ones, and any that
+  /// overflow the buffer.
   void write_raw(net::ByteSpan bs) override {
-    while (count_ + bs.size() > buf_->span.size()) regrow(count_ + bs.size());
-    std::memcpy(buf_->span.data() + count_, bs.data(), bs.size());
+    const std::size_t count = length();
+    while (count + bs.size() > buf_->span.size()) regrow(count + bs.size());
+    if (!bs.empty()) std::memcpy(put_cur_, bs.data(), bs.size());  // data() may be null
     accrue(cost_model().direct_copy(bs.size()));
-    count_ += bs.size();
+    put_cur_ += bs.size();
   }
 
-  net::ByteSpan data() const { return net::ByteSpan(buf_->span.data(), count_); }
-  std::size_t length() const { return count_; }
+  net::ByteSpan data() const { return net::ByteSpan(base_, length()); }
+  std::size_t length() const { return static_cast<std::size_t>(put_cur_ - base_); }
   const verbs::MemoryRegion& mr() const { return buf_->mr; }
 
   /// Times the stream had to re-get a larger buffer (the RPCoIB analogue
@@ -51,19 +74,28 @@ class RDMAOutputStream final : public rpc::DataOutput {
   /// Detach the buffer for the transport to own until the call completes.
   /// The caller must eventually `finish()` it back to the pool.
   NativeBuffer* take_buffer() {
-    NativeBuffer* b = buf_;
-    buf_ = nullptr;
-    return b;
+    put_end_ = put_cur_;  // the stream no longer owns the free space
+    return std::exchange(buf_, nullptr);
   }
 
   /// Return a taken buffer to the pool, updating the size history.
-  void finish(NativeBuffer* b) { pool_.release_for(key_, b, count_); }
+  void finish(NativeBuffer* b) { pool_.release_for(key_, b, length()); }
 
   const rpc::MethodKey& key() const { return key_; }
 
   static constexpr double kAcquireUs = 0.15;
 
  private:
+  static constexpr sim::Dur kAcquireDur = sim::from_us(kAcquireUs);
+
+  /// Make `b` the stream's buffer, its first `count` bytes already written.
+  void adopt(NativeBuffer* b, std::size_t count) {
+    buf_ = b;
+    base_ = b->span.data();
+    put_cur_ = base_ + count;
+    put_end_ = base_ + b->span.size();
+  }
+
   void regrow(std::size_t need) {
     // Mid-serialization grows honor demand_alloc_cap exactly like the
     // server's rendezvous fetch: a capped-out pool refuses the re-get
@@ -76,41 +108,46 @@ class RDMAOutputStream final : public rpc::DataOutput {
                                std::to_string(want) + " bytes for " + key_.protocol + "." +
                                key_.method);
     }
-    std::memcpy(bigger->span.data(), buf_->span.data(), count_);
-    accrue(cost_model().direct_copy(count_) + sim::from_us(kAcquireUs));
+    const std::size_t count = length();
+    std::memcpy(bigger->span.data(), base_, count);
+    accrue(cost_model().direct_copy(count) + kAcquireDur);
     pool_.release(buf_);
-    buf_ = bigger;
+    adopt(bigger, count);
     ++regets_;
   }
 
   ShadowPool& pool_;
-  rpc::MethodKey key_;
+  const rpc::MethodKey& key_;
   NativeBuffer* buf_ = nullptr;
-  std::size_t count_ = 0;
+  net::Byte* base_ = nullptr;  // start of the buffer (kept after take_buffer)
   std::uint64_t regets_ = 0;
 };
 
 /// Reads directly from a registered native buffer — the receive side of
 /// Fig. 2. No per-call heap allocation, no native->heap copy: the paper's
-/// Section II-B bottleneck is structurally absent.
+/// Section II-B bottleneck is structurally absent. The whole frame is the
+/// get area.
 class RDMAInputStream final : public rpc::DataInput {
  public:
   RDMAInputStream(const cluster::CostModel& cm, net::ByteSpan data)
-      : rpc::DataInput(cm), data_(data) {}
+      : rpc::DataInput(cm), begin_(data.data()) {
+    get_cur_ = data.data();
+    get_end_ = data.data() + data.size();
+  }
 
+  /// Reached only by reads past the end.
   net::ByteSpan read_view(std::size_t n) override {
     if (n > remaining()) throw rpc::SerializationError("read past end of RDMA buffer");
-    const net::ByteSpan v = data_.subspan(pos_, n);
-    pos_ += n;
+    const net::ByteSpan v(get_cur_, n);
+    get_cur_ += n;
     return v;
   }
 
-  std::size_t remaining() const override { return data_.size() - pos_; }
-  std::size_t position() const { return pos_; }
+  std::size_t remaining() const override { return static_cast<std::size_t>(get_end_ - get_cur_); }
+  std::size_t position() const { return static_cast<std::size_t>(get_cur_ - begin_); }
 
  private:
-  net::ByteSpan data_;
-  std::size_t pos_ = 0;
+  const net::Byte* begin_;
 };
 
 }  // namespace rpcoib::oib

@@ -117,11 +117,9 @@ class CompletionQueue {
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
 
-  /// Blocking poll (suspends in virtual time until a completion arrives).
-  sim::Co<WorkCompletion> wait() {
-    WorkCompletion wc = co_await q_.recv();
-    co_return wc;
-  }
+  /// Blocking poll: `co_await wait()` suspends in virtual time until a
+  /// completion arrives; throws sim::ChannelClosed once closed and empty.
+  sim::Channel<WorkCompletion>::RecvAwaiter wait() { return q_.recv(); }
 
   /// Non-blocking poll.
   bool poll(WorkCompletion& wc) { return q_.try_recv(wc); }

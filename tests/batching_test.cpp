@@ -458,6 +458,40 @@ TEST(BatchingTeardown, ServerStopAccountsResponsesParkedInLinger) {
   }
 }
 
+// A handler still running when stop() lands finishes into a stopped
+// server. Its coalesced response can no longer be sent: it is counted in
+// responses_dropped_on_stop instead of joining a batch nobody flushes.
+TEST(BatchingTeardown, ResponseFinishedAfterStopIsCountedDropped) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  RpcEngine engine(
+      tb, EngineConfig{.mode = RpcMode::kRpcoIB, .server_handlers = 1, .batch = batching_on()});
+  auto server = engine.make_server(tb.host(1), kAddr);
+  server->dispatcher().register_method(
+      kSlowPut.protocol, kSlowPut.method,
+      [&tb](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
+        rpc::BytesWritable v;
+        v.read_fields(in);
+        co_await sim::delay(tb.sched(), sim::millis(100));
+        rpc::BooleanWritable(true).write(out);
+      });
+  server->start();
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  int outcome = 0;
+  s.spawn(slow_put(*client, outcome));
+  s.run_until(sim::millis(50));  // the handler is inside its 100 ms delay
+  server->stop();
+  EXPECT_EQ(server->stats().responses_dropped_on_stop, 0u);  // nothing lingered yet
+  s.run_until(sim::millis(200));  // the handler resumes and responds
+  EXPECT_EQ(server->stats().responses_dropped_on_stop, 1u);
+  EXPECT_EQ(server->stats().batched_responses, 0u);
+  close_client(*client);
+  s.run_until(sim::seconds(20));
+  EXPECT_EQ(outcome, 2);
+  s.drain_tasks();
+}
+
 const rpc::MethodKey kBlock{"test.BatchProtocol", "block"};
 
 Task block_call(rpc::RpcClient& c, int& outcome) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -357,6 +359,199 @@ TEST(CrossBuffer, Alg1ToRdmaStreamAndBack) {
 
   oib::NativeBuffer* buf = rout.take_buffer();
   rout.finish(buf);
+}
+
+// --- Put and get areas --------------------------------------------------
+//
+// RDMAOutputStream serves small writes from its put area; a sink without
+// one sends every write through write_raw. Both must produce the same
+// bytes and accrue the same cost, and the readers likewise.
+
+/// A sink without a put area that charges what RDMAOutputStream's
+/// write_raw charges.
+class PlainDirectSink final : public rpc::DataOutput {
+ public:
+  explicit PlainDirectSink(const cluster::CostModel& cm) : rpc::DataOutput(cm) {}
+  void write_raw(net::ByteSpan bs) override {
+    bytes.insert(bytes.end(), bs.begin(), bs.end());
+    accrue(cost_model().direct_copy(bs.size()));
+  }
+  net::Bytes bytes;
+};
+
+/// A source without a get area: every read goes through read_view.
+class PlainSource final : public rpc::DataInput {
+ public:
+  PlainSource(const cluster::CostModel& cm, net::ByteSpan data)
+      : rpc::DataInput(cm), data_(data) {}
+  net::ByteSpan read_view(std::size_t n) override {
+    if (n > remaining()) throw rpc::SerializationError("read past end");
+    const net::ByteSpan v = data_.subspan(pos_, n);
+    pos_ += n;
+    return v;
+  }
+  std::size_t remaining() const override { return data_.size() - pos_; }
+
+ private:
+  net::ByteSpan data_;
+  std::size_t pos_ = 0;
+};
+
+const std::int64_t kVints[] = {0,          -1,        -112,      127,        128,
+                               -113,       255,       256,       -129,       INT32_MAX,
+                               INT32_MIN,  INT64_MAX, INT64_MIN, 1LL << 40, -(1LL << 40)};
+
+std::string text_of(std::size_t n) { return std::string(n, 'a'); }
+net::Bytes bytes_of(std::size_t n) {
+  net::Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<net::Byte>(0xA0 + i);
+  return b;
+}
+
+/// Every field kind, the vint extremes, and empty, 15-, 16- and 17-byte
+/// texts, byte arrays and payloads (the put area's inline limit is 16).
+void write_mixed(rpc::DataOutput& out) {
+  out.write_u8(0);
+  out.write_u8(0xFF);
+  out.write_bool(true);
+  out.write_u16(0xBEEF);
+  out.write_u32(0xDEADBEEFu);
+  out.write_u64(0x0123456789ABCDEFULL);
+  out.write_i32(-7);
+  out.write_i64(INT64_MIN);
+  out.write_f64(-2.5);
+  for (const std::int64_t v : kVints) out.write_vi64(v);
+  for (const std::size_t n : {0, 15, 16, 17}) {
+    out.write_text(text_of(n));
+    out.write_bytes(bytes_of(n));
+    const net::Bytes payload = bytes_of(n);
+    out.write_payload(payload);
+  }
+}
+
+void read_mixed(rpc::DataInput& in) {
+  EXPECT_EQ(in.read_u8(), 0);
+  EXPECT_EQ(in.read_u8(), 0xFF);
+  EXPECT_TRUE(in.read_bool());
+  EXPECT_EQ(in.read_u16(), 0xBEEF);
+  EXPECT_EQ(in.read_u32(), 0xDEADBEEFu);
+  EXPECT_EQ(in.read_u64(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(in.read_i32(), -7);
+  EXPECT_EQ(in.read_i64(), INT64_MIN);
+  EXPECT_EQ(in.read_f64(), -2.5);
+  for (const std::int64_t v : kVints) EXPECT_EQ(in.read_vi64(), v);
+  for (const std::size_t n : {0, 15, 16, 17}) {
+    EXPECT_EQ(in.read_text(), text_of(n));
+    EXPECT_EQ(in.read_bytes(), bytes_of(n));
+    net::Bytes payload(n);
+    in.read_raw(payload);
+    EXPECT_EQ(payload, bytes_of(n));
+  }
+}
+
+struct StreamEnv {
+  sim::Scheduler s;
+  net::Testbed tb{s, net::Testbed::cluster_b()};
+  verbs::VerbsStack stack{tb.fabric()};
+  oib::NativeBufferPool pool{tb.host(0), stack};
+  oib::ShadowPool shadow{pool};
+  const rpc::MethodKey key{"x", "mixed"};
+};
+
+net::Bytes bytes_of_span(net::ByteSpan s) { return net::Bytes(s.begin(), s.end()); }
+
+TEST(PutArea, MatchesTheVirtualPathInBytesAndCost) {
+  StreamEnv env;
+  oib::RDMAOutputStream out(kCm, env.shadow, env.key);
+  const sim::Dur acquire = out.take_accrued();
+  EXPECT_EQ(acquire, sim::from_us(oib::RDMAOutputStream::kAcquireUs));
+  PlainDirectSink ref(kCm);
+
+  write_mixed(out);
+  write_mixed(ref);
+  EXPECT_EQ(bytes_of_span(out.data()), ref.bytes);
+  EXPECT_EQ(out.take_accrued(), ref.take_accrued());
+
+  // Exact-capacity fill: a u64 that ends on the last byte of the buffer
+  // stays in the put area and does not re-get.
+  const std::size_t cap = out.mr().length;
+  ASSERT_GT(cap, out.length() + 8);
+  const net::Bytes pad = bytes_of(cap - 8 - out.length());
+  out.write_payload(pad);
+  ref.write_payload(pad);
+  out.write_u64(42);
+  ref.write_u64(42);
+  EXPECT_EQ(out.length(), cap);
+  EXPECT_EQ(out.regets(), 0u);
+  EXPECT_EQ(out.take_accrued(), ref.take_accrued());
+
+  // The next field straddles the end: the sink re-gets a doubled buffer,
+  // charging the re-get and the copy of what was written.
+  out.write_u32(7);
+  ref.write_u32(7);
+  EXPECT_EQ(out.regets(), 1u);
+  EXPECT_EQ(out.take_accrued(), ref.take_accrued() + kCm.direct_copy(cap) + acquire);
+
+  // A u64 with three bytes of room left straddles the second buffer.
+  const std::size_t cap2 = out.mr().length;
+  ASSERT_EQ(cap2, 2 * cap);
+  const net::Bytes pad2 = bytes_of(cap2 - 3 - out.length());
+  out.write_payload(pad2);
+  ref.write_payload(pad2);
+  const sim::Dur before = ref.take_accrued();
+  EXPECT_EQ(out.take_accrued(), before);
+  const std::size_t count_at_regrow = out.length();
+  out.write_u64(0xFEEDFACECAFEBEEFULL);
+  ref.write_u64(0xFEEDFACECAFEBEEFULL);
+  EXPECT_EQ(out.regets(), 2u);
+  EXPECT_EQ(out.take_accrued(),
+            ref.take_accrued() + kCm.direct_copy(count_at_regrow) + acquire);
+
+  // Small writes land in the grown buffer's put area again.
+  write_mixed(out);
+  write_mixed(ref);
+  EXPECT_EQ(out.take_accrued(), ref.take_accrued());
+  EXPECT_EQ(bytes_of_span(out.data()), ref.bytes);
+
+  oib::NativeBuffer* b = out.take_buffer();
+  out.finish(b);
+}
+
+/// A field, a vint or a text cut short by the end of the data throws.
+template <typename Source>
+void expect_short_reads_throw(net::ByteSpan all) {
+  Source field(kCm, all.first(3));
+  EXPECT_THROW(field.read_u64(), rpc::SerializationError);
+  const net::Byte vint[] = {0x80, 1, 2, 3};  // announces 8 magnitude bytes, has 3
+  Source v(kCm, vint);
+  EXPECT_THROW(v.read_vi64(), rpc::SerializationError);
+  const net::Byte text[] = {5, 'a', 'b'};  // a 5-byte text with 2 bytes present
+  Source t(kCm, text);
+  EXPECT_THROW(t.read_text(), rpc::SerializationError);
+}
+
+TEST(GetArea, ReadsMatchTheVirtualPathAndStopAtTheEnd) {
+  PlainDirectSink ref(kCm);
+  write_mixed(ref);
+  rpc::DataInputBuffer heap(kCm, ref.bytes);
+  oib::RDMAInputStream rdma(kCm, ref.bytes);
+  PlainSource plain(kCm, ref.bytes);
+  read_mixed(plain);
+  const sim::Dur alloc = plain.take_alloc_accrued();
+  const sim::Dur total = plain.take_accrued();
+  for (rpc::DataInput* in : {static_cast<rpc::DataInput*>(&heap),
+                             static_cast<rpc::DataInput*>(&rdma)}) {
+    read_mixed(*in);
+    EXPECT_EQ(in->remaining(), 0u);
+    EXPECT_EQ(in->take_alloc_accrued(), alloc);
+    EXPECT_EQ(in->take_accrued(), total);
+    EXPECT_THROW(in->read_u8(), rpc::SerializationError);
+  }
+  EXPECT_EQ(heap.position(), ref.bytes.size());
+  EXPECT_EQ(rdma.position(), ref.bytes.size());
+
+  expect_short_reads_throw<rpc::DataInputBuffer>(ref.bytes);
+  expect_short_reads_throw<oib::RDMAInputStream>(ref.bytes);
 }
 
 }  // namespace
