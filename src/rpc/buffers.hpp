@@ -83,30 +83,11 @@ class DataOutputBuffer final : public DataOutput {
   BufferStats stats_;
 };
 
-/// Reads from a borrowed byte range (Hadoop DataInputBuffer /
-/// ByteArrayInputStream). The referenced bytes must outlive the reader;
-/// they are the get area.
+/// Reads from a borrowed heap byte range (Hadoop DataInputBuffer /
+/// ByteArrayInputStream).
 class DataInputBuffer final : public DataInput {
  public:
-  DataInputBuffer(const cluster::CostModel& cm, net::ByteSpan data)
-      : DataInput(cm), begin_(data.data()) {
-    get_cur_ = data.data();
-    get_end_ = data.data() + data.size();
-  }
-
-  /// Reached only by reads past the end.
-  net::ByteSpan read_view(std::size_t n) override {
-    if (n > remaining()) throw SerializationError("read past end of buffer");
-    const net::ByteSpan v(get_cur_, n);
-    get_cur_ += n;
-    return v;
-  }
-
-  std::size_t remaining() const override { return static_cast<std::size_t>(get_end_ - get_cur_); }
-  std::size_t position() const { return static_cast<std::size_t>(get_cur_ - begin_); }
-
- private:
-  const net::Byte* begin_;
+  DataInputBuffer(const cluster::CostModel& cm, net::ByteSpan data) : DataInput(cm, data) {}
 };
 
 /// java.io.BufferedOutputStream: accumulates into a heap buffer; the flush

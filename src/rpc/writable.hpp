@@ -59,8 +59,8 @@ T load_be(const net::Byte* src) {
 /// BufferedOutputStream (socket path), rpcoib::RDMAOutputStream (registered
 /// native buffer).
 ///
-/// Put area (opt-in, DESIGN.md "Stream put and get areas"): a sink whose
-/// write_raw cost depends only on the write's size may point
+/// Put area (opt-in, DESIGN.md "Stream put area and span reader"): a sink
+/// whose write_raw cost depends only on the write's size may point
 /// [put_cur_, put_end_) at its free storage and fill put_cost_[n] with
 /// exactly what its write_raw accrues for an n-byte write,
 /// n <= kPutAreaMax. A small write that fits then lands inline and adds
@@ -152,23 +152,23 @@ class DataOutput {
   sim::Dur accrued_ = 0;
 };
 
-/// Abstract input stream (java.io.DataInput).
-///
-/// Get area (opt-in, DESIGN.md "Stream put and get areas"): a source
-/// whose read_view accrues nothing may point [get_cur_, get_end_) at its
-/// unread bytes (get_cur_ is then its read position). Reads that fit are
-/// served inline; read_view sees only reads past the end (and throws) and
-/// every read of a source without an area.
+/// Input stream over one contiguous byte range (java.io.DataInput). Every
+/// source in the tree reads from memory it does not own — a heap frame
+/// (DataInputBuffer) or a registered native buffer (RDMAInputStream) — so
+/// the reader is the range itself: [get_cur_, get_end_), plus where it
+/// began. The referenced bytes must outlive the reader. A read past the
+/// end throws SerializationError.
 class DataInput {
  public:
-  explicit DataInput(const cluster::CostModel& cm) : cm_(cm), field_op_(cm.field_op()) {}
-  virtual ~DataInput() = default;
+  DataInput(const cluster::CostModel& cm, net::ByteSpan data)
+      : cm_(cm),
+        field_op_(cm.field_op()),
+        begin_(data.data()),
+        get_cur_(data.data()),
+        get_end_(data.data() + data.size()) {}
 
-  /// The next `n` bytes as one contiguous view into the stream's storage,
-  /// consumed; concrete sources implement this. Throws SerializationError
-  /// past the end.
-  virtual net::ByteSpan read_view(std::size_t n) = 0;
-  virtual std::size_t remaining() const = 0;
+  std::size_t remaining() const { return static_cast<std::size_t>(get_end_ - get_cur_); }
+  std::size_t position() const { return static_cast<std::size_t>(get_cur_ - begin_); }
 
   void read_raw(net::MutByteSpan out) {
     const net::Byte* in = take(out.size());
@@ -218,20 +218,13 @@ class DataInput {
   /// handlers can parent their spans (and downstream RPCs) correctly.
   trace::TraceContext trace_context;
 
- protected:
-  const net::Byte* get_cur_ = nullptr;
-  const net::Byte* get_end_ = nullptr;
-
  private:
-  /// The next `n` bytes, consumed: from the get area when they are there,
-  /// otherwise through read_view.
+  /// The next `n` bytes, consumed.
   const net::Byte* take(std::size_t n) {
-    if (n <= static_cast<std::size_t>(get_end_ - get_cur_)) {
-      const net::Byte* p = get_cur_;
-      get_cur_ += n;
-      return p;
-    }
-    return read_view(n).data();
+    if (n > remaining()) throw SerializationError("read past end of stream");
+    const net::Byte* p = get_cur_;
+    get_cur_ += n;
+    return p;
   }
 
   template <typename T>
@@ -242,6 +235,9 @@ class DataInput {
 
   const cluster::CostModel& cm_;
   const sim::Dur field_op_;
+  const net::Byte* begin_;
+  const net::Byte* get_cur_;
+  const net::Byte* get_end_;
   sim::Dur accrued_ = 0;
   sim::Dur alloc_accrued_ = 0;
 };

@@ -70,6 +70,7 @@ void RdmaRpcServer::start() {
   for (int i = 0; i < n; ++i) {
     auto shard =
         std::make_unique<Shard>(host_, static_cast<std::uint32_t>(i), overload_, session_);
+    shard->alive = alive_;
     if (cfg_.pool.srq_depth > 0) {
       // Stripe the shared ring: each shard owns srq_depth / n slots (the
       // remainder spread over the low shards, never below one) and refills
@@ -747,7 +748,8 @@ sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
   // parses.
   const rpc::CallHead head =
       *peek_call_head(host_.cost(), net::ByteSpan(call.buf->span.data(), call.frame_len));
-  shard_of(*call.conn).pipeline.note_shed();
+  Shard& shard = shard_of(*call.conn);
+  shard.pipeline.note_shed();
   if (head.ctx.valid()) {
     if (trace::TraceCollector* tr = trace::active(host_.tracer())) {
       tr->add_complete("overload.shed:" + head.key.method, trace::Kind::kServer,
@@ -759,7 +761,7 @@ sim::Co<void> RdmaRpcServer::shed_call(ServerCall call) {
   try {
     RDMAOutputStream busy(host_.cost(), shadow_, kBusyKey);
     write_status(busy, head.id, rpc::RpcStatus::kBusy, "server busy: call queue full");
-    co_await respond(call, busy);
+    co_await respond(shard, call, busy);
   } catch (const verbs::VerbsError&) {
     // Client already gone; nothing to tell it.
   }
@@ -806,7 +808,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
           RDMAOutputStream expired(cm, shadow_, kSessionRejectedKey);
           write_status(expired, head.id, rpc::RpcStatus::kSessionExpired,
                        "session expired: retry cannot be deduplicated");
-          co_await respond(call, expired);
+          co_await respond(shard, call, expired);
         } catch (const verbs::VerbsError&) {
           // Client already gone; nothing to tell it.
         }
@@ -864,16 +866,16 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
           const bool send = shard.record(head, rpc::Outcome::kPoolBusy, {}, now, tr);
           RDMAOutputStream busy(cm, shadow_, kBusyKey);
           write_status(busy, head.id, rpc::RpcStatus::kBusy, "server busy: " + error_msg);
-          if (send) co_await respond(call, busy);
+          if (send) co_await respond(shard, call, busy);
         } else if (error) {
           RDMAOutputStream err(cm, shadow_, head.key);
           write_status(err, head.id, rpc::RpcStatus::kError, error_msg);
           const bool send = shard.record(head, rpc::Outcome::kAnswered, err.data(), now, tr);
           // Unsent, the stream destructor returns the pooled buffer.
-          if (send) co_await respond(call, err);
+          if (send) co_await respond(shard, call, err);
         } else {
           const bool send = shard.record(head, rpc::Outcome::kAnswered, out.data(), now, tr);
-          if (send) co_await respond(call, out);
+          if (send) co_await respond(shard, call, out);
         }
       } catch (const verbs::VerbsError&) {
         // Client disconnected between handling and responding; drop it.
@@ -887,7 +889,7 @@ sim::Task RdmaRpcServer::handler_loop(Shard& shard, int /*handler_id*/) {
   }
 }
 
-sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
+sim::Co<void> RdmaRpcServer::respond(Shard& shard, ServerCall& call, RDMAOutputStream& out) {
   const cluster::CostModel& cm = host_.cost();
   ConnPtr conn = call.conn;
   // Batch frames ride the eager path, so the whole frame must fit the
@@ -903,24 +905,23 @@ sim::Co<void> RdmaRpcServer::respond(ServerCall& call, RDMAOutputStream& out) {
     // Coalesced path: copy the frame out so the stream's pooled buffer
     // returns immediately (via its destructor) and skip the per-response
     // doorbell — the flush pays one JNI crossing for the whole batch.
-    const std::shared_ptr<bool> alive = alive_;
+    const std::shared_ptr<bool> alive = shard.alive;
     const sim::Dur cost =
         out.take_accrued() + cm.rpc_framework() + cm.direct_copy(out.length());
     co_await host_.compute(cost);
     shadow_.update_history(out.key(), out.length());
     if (!*alive) {
       // stop() already emptied the coalescer; nothing would flush this.
-      ++shard_of(*conn).pipeline.stats().responses_dropped_on_stop;
+      ++shard.pipeline.stats().responses_dropped_on_stop;
       co_return;
     }
     net::Bytes payload(out.data().begin(), out.data().end());
-    ResponseSink sink{this, conn, alive};
+    ResponseSink sink{this, conn, &shard, alive};
     co_await conn->batcher->add(sink, std::move(payload), trace::TraceContext{}, limits);
     if (!*alive && !conn->batcher->empty()) {
       // A pre-flush straddled stop() and this response joined the dead
       // batch after it.
-      shard_of(*conn).pipeline.stats().responses_dropped_on_stop +=
-          conn->batcher->take().items.size();
+      shard.pipeline.stats().responses_dropped_on_stop += conn->batcher->take().items.size();
     }
     co_return;
   }
@@ -982,7 +983,7 @@ sim::Co<bool> RdmaRpcServer::ResponseSink::flush(rpc::CallBatcher& b, rpc::Flush
     // Server stopped while we computed; the pool outlives stop(), so the
     // lease can still go back, and the batch is counted lost.
     server->native_.release(fb);
-    server->shard_of(*conn).pipeline.stats().responses_dropped_on_stop += batch.items.size();
+    shard->pipeline.stats().responses_dropped_on_stop += batch.items.size();
     co_return true;
   }
   try {
@@ -994,9 +995,8 @@ sim::Co<bool> RdmaRpcServer::ResponseSink::flush(rpc::CallBatcher& b, rpc::Flush
     co_return true;
   }
   if (!*alive) co_return true;
-  Shard& shard = server->shard_of(*conn);
-  ++shard.pipeline.stats().response_batches;
-  shard.pipeline.stats().batched_responses += batch.items.size();
+  ++shard->pipeline.stats().response_batches;
+  shard->pipeline.stats().batched_responses += batch.items.size();
   co_return true;
 }
 

@@ -151,6 +151,10 @@ class RdmaRpcServer final : public rpc::RpcServer {
     // RDMA-READ fetches in flight on this shard's CQ, keyed by odd wr_id.
     std::map<std::uint64_t, sim::SimEvent*> read_waiters;
     std::uint64_t next_read_token = 1;
+    // The liveness token of the run this shard serves (alive_ when start()
+    // built it): a handler suspended across stop() and start() still sees
+    // its own run as stopped.
+    std::shared_ptr<bool> alive;
   };
 
   sim::Task listener_loop();
@@ -170,7 +174,7 @@ class RdmaRpcServer final : public rpc::RpcServer {
   sim::Task idle_evict_loop();
   sim::Task fetch_call(ConnPtr conn, std::uint32_t rkey, std::uint64_t off,
                        std::uint32_t len);
-  sim::Co<void> respond(ServerCall& call, RDMAOutputStream& out);
+  sim::Co<void> respond(Shard& shard, ServerCall& call, RDMAOutputStream& out);
   /// Send an already-framed response verbatim (retry-cache dedup hits).
   sim::Co<void> respond_frame(ServerCall& call, net::ByteSpan frame);
   /// Put one encoded response in `buf` on the wire: a datagram for a UD
@@ -197,13 +201,14 @@ class RdmaRpcServer final : public rpc::RpcServer {
   Shard& shard_of(const ConnState& conn) { return *shards_[conn.shard]; }
   /// Coalescer sink of one connection's responses (rpc::CallBatcher::add):
   /// posts the batch as one kBatch SEND. It keeps no append guard — after
-  /// stop() its flush and linger timer stand down on the alive token, and
-  /// the flush and respond() count what they then drop in
-  /// responses_dropped_on_stop.
+  /// stop() its flush and linger timer stand down on the run's alive
+  /// token, and the flush and respond() count what they then drop in
+  /// responses_dropped_on_stop of the shard that handled the calls.
   struct ResponseSink {
     RdmaRpcServer* server;
     ConnPtr conn;
-    std::shared_ptr<bool> alive;
+    Shard* shard;
+    std::shared_ptr<bool> alive;  // shard->alive, owned: the linger timer may outlive the shard
     rpc::CallBatcher* batcher() { return *alive ? conn->batcher.get() : nullptr; }
     void appended() {}
     sim::Co<bool> flush(rpc::CallBatcher& b, rpc::FlushReason why);

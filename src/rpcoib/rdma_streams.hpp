@@ -18,28 +18,13 @@
 
 namespace rpcoib::oib {
 
-/// The put-area cost table of a stream copying into registered memory:
-/// entry n is direct_copy(n). Built once per cost model seen last (every
-/// host of a run normally shares one) and copied into each stream.
-inline const rpc::DataOutput::PutCosts& direct_copy_costs(const cluster::CostModel& cm) {
-  thread_local rpc::DataOutput::PutCosts table{};
-  thread_local double base_us = -1;
-  thread_local double bw_gbps = -1;
-  if (cm.heap_copy_base_us != base_us || cm.direct_copy_bw_gbps != bw_gbps) {
-    base_us = cm.heap_copy_base_us;
-    bw_gbps = cm.direct_copy_bw_gbps;
-    for (std::size_t n = 0; n < table.size(); ++n) table[n] = cm.direct_copy(n);
-  }
-  return table;
-}
-
 class RDMAOutputStream final : public rpc::DataOutput {
  public:
   /// Acquires the initial buffer via the shadow pool's history for `key`,
   /// which must outlive the stream.
   RDMAOutputStream(const cluster::CostModel& cm, ShadowPool& pool, const rpc::MethodKey& key)
       : rpc::DataOutput(cm), pool_(pool), key_(key) {
-    put_cost_ = direct_copy_costs(cm);
+    for (std::size_t n = 0; n < put_cost_.size(); ++n) put_cost_[n] = cm.direct_copy(n);
     adopt(pool_.acquire_for(key_), 0);
     // Pool acquire is a freelist pop, amortizing the registration done at
     // library load — orders of magnitude below a JVM allocation.
@@ -125,29 +110,10 @@ class RDMAOutputStream final : public rpc::DataOutput {
 
 /// Reads directly from a registered native buffer — the receive side of
 /// Fig. 2. No per-call heap allocation, no native->heap copy: the paper's
-/// Section II-B bottleneck is structurally absent. The whole frame is the
-/// get area.
+/// Section II-B bottleneck is structurally absent.
 class RDMAInputStream final : public rpc::DataInput {
  public:
-  RDMAInputStream(const cluster::CostModel& cm, net::ByteSpan data)
-      : rpc::DataInput(cm), begin_(data.data()) {
-    get_cur_ = data.data();
-    get_end_ = data.data() + data.size();
-  }
-
-  /// Reached only by reads past the end.
-  net::ByteSpan read_view(std::size_t n) override {
-    if (n > remaining()) throw rpc::SerializationError("read past end of RDMA buffer");
-    const net::ByteSpan v(get_cur_, n);
-    get_cur_ += n;
-    return v;
-  }
-
-  std::size_t remaining() const override { return static_cast<std::size_t>(get_end_ - get_cur_); }
-  std::size_t position() const { return static_cast<std::size_t>(get_cur_ - begin_); }
-
- private:
-  const net::Byte* begin_;
+  RDMAInputStream(const cluster::CostModel& cm, net::ByteSpan data) : rpc::DataInput(cm, data) {}
 };
 
 }  // namespace rpcoib::oib

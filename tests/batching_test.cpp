@@ -492,6 +492,48 @@ TEST(BatchingTeardown, ResponseFinishedAfterStopIsCountedDropped) {
   s.drain_tasks();
 }
 
+Task hog_core(cluster::Host& h, sim::Dur d) { co_await h.compute(d); }
+
+// A response whose coalescing charge straddles stop() and a restart is
+// dropped in the run that handled its call: the new run reports no
+// teardown loss and no batch it never had.
+TEST(BatchingTeardown, ResponseStraddlingARestartStaysInItsOwnRun) {
+  Scheduler s;
+  Testbed tb(s, Testbed::cluster_b());
+  RpcEngine engine(
+      tb, EngineConfig{.mode = RpcMode::kRpcoIB, .server_handlers = 1, .batch = batching_on()});
+  auto server = engine.make_server(tb.host(1), kAddr);
+  server->dispatcher().register_method(
+      kSlowPut.protocol, kSlowPut.method,
+      [&tb](rpc::DataInput& in, rpc::DataOutput& out) -> Co<void> {
+        rpc::BytesWritable v;
+        v.read_fields(in);
+        co_await sim::delay(tb.sched(), sim::millis(100));
+        rpc::BooleanWritable(true).write(out);
+      });
+  server->start();
+  std::unique_ptr<rpc::RpcClient> client = engine.make_client(tb.host(0));
+
+  int outcome = 0;
+  s.spawn(slow_put(*client, outcome));
+  s.run_until(sim::millis(50));  // the handler is inside its 100 ms delay
+  // Fill the server's cores until well past the restart: the handler's
+  // respond() queues its coalescing charge behind them at 100 ms.
+  for (int i = 0; i < 16; ++i) s.spawn(hog_core(tb.host(1), sim::millis(400)));
+  s.run_until(sim::millis(150));
+  server->stop();
+  server->start();
+  s.run_until(sim::seconds(2));  // the charge ends; the response is dropped
+  EXPECT_EQ(server->stats().responses_dropped_on_stop, 0u);
+  EXPECT_EQ(server->stats().batched_responses, 0u);
+  EXPECT_EQ(server->stats().response_batches, 0u);
+  server->stop();
+  close_client(*client);
+  s.run_until(sim::seconds(20));
+  EXPECT_EQ(outcome, 2);
+  s.drain_tasks();
+}
+
 const rpc::MethodKey kBlock{"test.BatchProtocol", "block"};
 
 Task block_call(rpc::RpcClient& c, int& outcome) {
